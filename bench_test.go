@@ -13,7 +13,6 @@ import (
 	"solarcore/internal/exp"
 	"solarcore/internal/power"
 	"solarcore/internal/pv"
-	"solarcore/internal/sched"
 	"solarcore/internal/sim"
 	"solarcore/internal/stream"
 	"solarcore/internal/workload"
@@ -188,7 +187,7 @@ func BenchmarkDaySimulation(b *testing.B) {
 	mix, _ := workload.MixByName("ML2")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunMPPT(sim.Config{Day: day, Mix: mix}, sched.OptTPR{}); err != nil {
+		if _, err := sim.Run(sim.Config{Day: day, Mix: mix}, sim.MPPT("MPPT&Opt")); err != nil {
 			b.Fatal(err)
 		}
 	}

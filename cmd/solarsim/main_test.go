@@ -73,3 +73,18 @@ func TestFaultedRunPrintsSummary(t *testing.T) {
 		t.Errorf("faulted run did not print the fault summary:\n%s", out)
 	}
 }
+
+func TestBatterySeriesPrintsTrace(t *testing.T) {
+	code, out, errs := runCLI("-battery", "U", "-series", "-step", "8")
+	if code != 0 {
+		t.Fatalf("exit code %d; stderr: %q", code, errs)
+	}
+	_, csv, ok := strings.Cut(out, "minute,budget_w,actual_w,on_solar\n")
+	if !ok {
+		t.Fatalf("no series header:\n%s", out)
+	}
+	rows := strings.Split(strings.TrimSpace(csv), "\n")
+	if len(rows) < 10 || !strings.HasSuffix(rows[0], ",true") {
+		t.Errorf("battery series has %d rows, first %q; want a powered trace", len(rows), rows[0])
+	}
+}

@@ -17,14 +17,17 @@ func ExampleMount() {
 
 // The battery baselines bracket a real system between Table 3's de-rating
 // levels.
-func ExampleRunBattery() {
+func ExampleWithBattery() {
 	trace := solarcore.GenerateWeather(solarcore.CO, solarcore.Jul, 0)
 	day, _ := solarcore.NewDay(trace, solarcore.BP3180N(), 1, 1)
 	mix, _ := solarcore.MixByName("M1")
 	cfg := solarcore.Config{Day: day, Mix: mix, StepMin: 2}
-	hi, _ := solarcore.RunBattery(cfg, solarcore.BatteryUpperEff)
-	lo, _ := solarcore.RunBattery(cfg, solarcore.BatteryLowerEff)
-	fmt.Println(hi.PTP() > lo.PTP())
+	ptp := func(eff float64) float64 {
+		r, _ := solarcore.NewRunner(cfg, solarcore.WithBattery(eff))
+		res, _ := r.Run()
+		return res.PTP()
+	}
+	fmt.Println(ptp(solarcore.BatteryUpperEff) > ptp(solarcore.BatteryLowerEff))
 	// Output: true
 }
 
@@ -41,7 +44,8 @@ func ExampleAssessImpact() {
 	trace := solarcore.GenerateWeather(solarcore.AZ, solarcore.Jul, 0)
 	day, _ := solarcore.NewDay(trace, solarcore.BP3180N(), 1, 1)
 	mix, _ := solarcore.MixByName("M2")
-	res, _ := solarcore.Run(solarcore.Config{Day: day, Mix: mix, StepMin: 2}, solarcore.PolicyOpt)
+	r, _ := solarcore.NewRunner(solarcore.Config{Day: day, Mix: mix, StepMin: 2}, solarcore.WithPolicy(solarcore.PolicyOpt))
+	res, _ := r.Run()
 	im := solarcore.AssessImpact(res, solarcore.GridProfileFor("AZ"))
 	fmt.Println(im.CarbonReduction() > 0.8, im.CostSaved > 0)
 	// Output: true true

@@ -40,7 +40,11 @@ func main() {
 				if err != nil {
 					log.Fatal(err)
 				}
-				res, err := solarcore.Run(solarcore.Config{Day: day, Mix: mix}, solarcore.PolicyOpt)
+				r, err := solarcore.NewRunner(solarcore.Config{Day: day, Mix: mix}, solarcore.WithPolicy(solarcore.PolicyOpt))
+				if err != nil {
+					log.Fatal(err)
+				}
+				res, err := r.Run()
 				if err != nil {
 					log.Fatal(err)
 				}

@@ -40,7 +40,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		bres, err := solarcore.RunBatteryBank(solarcore.Config{Day: big, Mix: mix}, bank, 0.95)
+		br, err := solarcore.NewRunner(solarcore.Config{Day: big, Mix: mix}, solarcore.WithBank(bank, 0.95))
+		if err != nil {
+			log.Fatal(err)
+		}
+		bres, err := br.RunBank()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,7 +55,11 @@ func main() {
 		cycles += bres.Cycles
 
 		// SolarCore on the same weather and array, no battery, grid backup.
-		sres, err := solarcore.Run(solarcore.Config{Day: big, Mix: mix}, solarcore.PolicyOpt)
+		sr, err := solarcore.NewRunner(solarcore.Config{Day: big, Mix: mix}, solarcore.WithPolicy(solarcore.PolicyOpt))
+		if err != nil {
+			log.Fatal(err)
+		}
+		sres, err := sr.Run()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -35,7 +35,7 @@ func main() {
 	}
 	cfg := solarcore.Config{Day: day, Mix: mix, Chip: chip}
 
-	sc, err := solarcore.Run(cfg, solarcore.PolicyOpt)
+	sc, err := run(cfg, solarcore.WithPolicy(solarcore.PolicyOpt))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func main() {
 
 	fmt.Printf("%-34s %10s %14s %10s\n", "battery system", "eff", "PTP (Ginstr)", "vs SolarCore")
 	for _, grade := range solarcore.BatteryGrades {
-		res, err := solarcore.RunBattery(cfg, grade.Derating())
+		res, err := run(cfg, solarcore.WithBattery(grade.Derating()))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -54,4 +54,13 @@ func main() {
 
 	fmt.Println("\nA battery system must beat its de-rating losses AND amortize its")
 	fmt.Println("capital/lifetime cost; SolarCore matches the best of them with neither.")
+}
+
+// run simulates cfg's day under one supply option.
+func run(cfg solarcore.Config, supply solarcore.RunnerOption) (*solarcore.DayResult, error) {
+	r, err := solarcore.NewRunner(cfg, supply)
+	if err != nil {
+		return nil, err
+	}
+	return r.Run()
 }

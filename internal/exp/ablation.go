@@ -7,7 +7,6 @@ import (
 	"solarcore/internal/mathx"
 	"solarcore/internal/mcore"
 	"solarcore/internal/pv"
-	"solarcore/internal/sched"
 	"solarcore/internal/sim"
 	"solarcore/internal/tracker"
 	"solarcore/internal/workload"
@@ -58,7 +57,7 @@ func ablationRun(l *Lab, label string, cfg sim.Config) AblationRow {
 	var utils, errs, ptps, durs []float64
 	for _, day := range ablationDays(l) {
 		cfg.Day = day
-		res, err := sim.RunMPPT(cfg, sched.OptTPR{})
+		res, err := sim.Run(cfg, sim.MPPT("MPPT&Opt"))
 		if err != nil {
 			panic(err)
 		}
@@ -213,7 +212,7 @@ func TrackerComparison(l *Lab) TrackerComparisonResult {
 		panic(err)
 	}
 	mix, _ := workload.MixByName("HM2")
-	res, err := sim.RunMPPT(sim.Config{Day: day, Mix: mix, StepMin: 1}, sched.OptTPR{})
+	res, err := sim.Run(sim.Config{Day: day, Mix: mix, StepMin: 1}, sim.MPPT("MPPT&Opt"))
 	if err != nil {
 		panic(err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"solarcore/internal/atmos"
 	"solarcore/internal/dc"
-	"solarcore/internal/sched"
 	"solarcore/internal/sim"
 	"solarcore/internal/sustain"
 	"solarcore/internal/thermal"
@@ -28,7 +27,7 @@ func AblationThermal(l *Lab) AblationResult {
 		cfg.Mix = mix
 		cfg.Day = l.Day(atmos.AZ, atmos.Jul)
 		cfg.StepMin = l.Opts.stepMin()
-		res, err := sim.RunMPPT(cfg, sched.OptTPR{})
+		res, err := sim.Run(cfg, sim.MPPT("MPPT&Opt"))
 		if err != nil {
 			panic(err)
 		}
@@ -205,7 +204,7 @@ func MountStudy(l *Lab) MountStudyResult {
 			panic(err)
 		}
 		runPTP := func(day *sim.SolarDay) (float64, float64) {
-			r, err := sim.RunMPPT(sim.Config{Day: day, Mix: mix, StepMin: l.Opts.stepMin()}, sched.OptTPR{})
+			r, err := sim.Run(sim.Config{Day: day, Mix: mix, StepMin: l.Opts.stepMin()}, sim.MPPT("MPPT&Opt"))
 			if err != nil {
 				panic(err)
 			}

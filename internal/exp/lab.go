@@ -19,7 +19,6 @@ import (
 	"solarcore/internal/obs"
 	"solarcore/internal/power"
 	"solarcore/internal/pv"
-	"solarcore/internal/sched"
 	"solarcore/internal/sim"
 	"solarcore/internal/workload"
 )
@@ -205,41 +204,33 @@ func (l *Lab) faultTag() string {
 func (l *Lab) MPPT(site atmos.Site, season atmos.Season, mix workload.Mix, policy string) *sim.DayResult {
 	key := fmt.Sprintf("%s|%s|%s|%s%s", site.Code, season, mix.Name, policy, l.faultTag())
 	return l.cell(key, func() *sim.DayResult {
-		alloc, ok := sched.ByName(policy)
-		if !ok {
-			panic("exp: unknown MPPT policy " + policy)
-		}
-		r, err := sim.RunMPPT(l.config(site, season, mix, false), alloc)
+		r, err := sim.Run(l.config(site, season, mix, false), sim.MPPT(policy))
 		if err != nil {
 			panic(fmt.Sprintf("exp: %s: %v", key, err))
 		}
-		return r
+		return &r.DayResult
 	})
 }
 
 // MPPTSeries is MPPT with the per-minute budget/actual trace retained (for
 // Figures 13-14). Series runs are not cached.
 func (l *Lab) MPPTSeries(site atmos.Site, season atmos.Season, mix workload.Mix, policy string) *sim.DayResult {
-	alloc, ok := sched.ByName(policy)
-	if !ok {
-		panic("exp: unknown MPPT policy " + policy)
-	}
-	r, err := sim.RunMPPT(l.config(site, season, mix, true), alloc)
+	r, err := sim.Run(l.config(site, season, mix, true), sim.MPPT(policy))
 	if err != nil {
 		panic(fmt.Sprintf("exp: series run: %v", err))
 	}
-	return r
+	return &r.DayResult
 }
 
 // Fixed runs (or recalls) a Fixed-Power day at the given budget.
 func (l *Lab) Fixed(site atmos.Site, season atmos.Season, mix workload.Mix, budgetW float64) *sim.DayResult {
 	key := fmt.Sprintf("%s|%s|%s|fixed%g%s", site.Code, season, mix.Name, budgetW, l.faultTag())
 	return l.cell(key, func() *sim.DayResult {
-		r, err := sim.RunFixed(l.config(site, season, mix, false), budgetW)
+		r, err := sim.Run(l.config(site, season, mix, false), sim.Fixed(budgetW))
 		if err != nil {
 			panic(fmt.Sprintf("exp: %s: %v", key, err))
 		}
-		return r
+		return &r.DayResult
 	})
 }
 
@@ -248,11 +239,11 @@ func (l *Lab) Fixed(site atmos.Site, season atmos.Season, mix workload.Mix, budg
 func (l *Lab) Battery(site atmos.Site, season atmos.Season, mix workload.Mix, eff float64) *sim.DayResult {
 	key := fmt.Sprintf("%s|%s|%s|bat%g%s", site.Code, season, mix.Name, eff, l.faultTag())
 	return l.cell(key, func() *sim.DayResult {
-		r, err := sim.RunBattery(l.config(site, season, mix, false), eff)
+		r, err := sim.Run(l.config(site, season, mix, false), sim.Battery(eff))
 		if err != nil {
 			panic(fmt.Sprintf("exp: %s: %v", key, err))
 		}
-		return r
+		return &r.DayResult
 	})
 }
 

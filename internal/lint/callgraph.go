@@ -74,7 +74,7 @@ func (k EdgeKind) String() string {
 // method (Obj set) or a function literal (Lit set).
 type CGNode struct {
 	// Name is the stable human-readable identity: types.Func.FullName
-	// for declarations ("solarcore/internal/sim.RunMPPT",
+	// for declarations ("solarcore/internal/sim.Run",
 	// "(*solarcore.Runner).Run"), the enclosing node's name plus "$n"
 	// for the n-th literal inside it.
 	Name string
@@ -159,7 +159,7 @@ func (g *CallGraph) Reachable(roots ...*CGNode) map[*CGNode]*CGNode {
 }
 
 // CallPath renders the call chain from a BFS root down to n, e.g.
-// "RunMPPT → Track → Current". Long chains elide the middle.
+// "Run → Track → Current". Long chains elide the middle.
 func CallPath(parent map[*CGNode]*CGNode, n *CGNode) string {
 	var chain []string
 	for at := n; at != nil; at = parent[at] {

@@ -156,8 +156,8 @@ func resolveRoot(g *CallGraph, name string) *CGNode {
 }
 
 // suffixMatch reports whether full ends in name at a path or receiver
-// boundary: "RunMPPT" matches "solarcore/internal/sim.RunMPPT" but not
-// "...sim.QuickRunMPPT".
+// boundary: "Run" matches "solarcore/internal/sim.Run" but not
+// "...sim.QuickRun".
 func suffixMatch(full, name string) bool {
 	if len(full) <= len(name) {
 		return false

@@ -42,7 +42,7 @@ var AnalyzerHotCost = &Analyzer{
 
 // hotcostRoots are the default hot entry points.
 var hotcostRoots = []string{
-	"solarcore/internal/sim.RunMPPT",
+	"solarcore/internal/sim.Run",
 	"(*solarcore/internal/serve.Server).Result",
 }
 

@@ -8,7 +8,7 @@
 // The package is stdlib-only and designed so that the disabled path is
 // free: a nil Observer in sim.Config skips every hook, and the no-op
 // observer (Nop) costs one dynamic call per event — benchmarked at under
-// 5 % of a RunMPPT day (BenchmarkRunMPPTNopObserver vs BenchmarkRunMPPT
+// 5 % of an MPPT day (BenchmarkRunMPPTNopObserver vs BenchmarkRunMPPT
 // at the repository root).
 //
 // Event semantics follow the paper's control structure: one RunStartEvent

@@ -1,15 +1,14 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 
-	"solarcore/internal/obs"
+	"solarcore/internal/mcore"
 	"solarcore/internal/power"
 )
 
 // BankDayResult extends DayResult with battery-bank diagnostics from a
-// time-coupled standalone run.
+// time-coupled standalone run; Run leaves them zero for other supplies.
 type BankDayResult struct {
 	DayResult
 
@@ -26,97 +25,94 @@ type BankDayResult struct {
 	FinalSoC float64
 }
 
-// RunBatteryBank simulates one day of a realistic battery-equipped
-// standalone system (Figure 2-C): a dedicated MPPT charge controller
-// harvests trackingEff × the panel MPP; the load draws directly from the
-// controller when the sun covers it and from the bank otherwise; surplus
-// charges the bank. Unlike RunBattery's idealized energy-bucket bound, this
-// run sees rate limits, asymmetric losses, self-discharge, the
-// depth-of-discharge floor, and cycling wear. The bank state persists
-// across calls, so multi-day deployments can chain runs.
-func RunBatteryBank(cfg Config, bank *power.Bank, trackingEff float64) (*BankDayResult, error) {
-	if err := cfg.fillDefaults(); err != nil {
-		return nil, err
-	}
-	if bank == nil {
-		return nil, fmt.Errorf("sim: bank required")
-	}
-	if trackingEff <= 0 || trackingEff > 1 {
-		return nil, fmt.Errorf("sim: tracking efficiency %v outside (0,1]", trackingEff)
-	}
-	chip, err := buildChip(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	_ = chip.SetAllLevels(chip.NumLevels() - 1) // stable supply: run flat out (level is in range)
+// batteryRun is the ideal battery: the dedicated charge controller
+// banks the whole day's de-rated MPP energy up front, and the chip draws
+// it flat out until it runs dry.
+type batteryRun struct {
+	chip *mcore.Chip
+	bat  power.BatterySystem
+}
 
-	res := &BankDayResult{DayResult: *newResult(cfg, "BatteryBank")}
-	o := cfg.Observer
-	if o != nil {
-		o.OnRunStart(obs.RunStartEvent{
-			Runner: "BatteryBank", Policy: res.Policy, Mix: cfg.Mix.Name,
-			Label: cfg.Day.Trace.Label(), Cores: chip.NumCores(),
-			StartMin: cfg.Day.StartMinute(), EndMin: cfg.Day.EndMinute(),
-		})
+func newBatteryRun(cfg *Config, chip *mcore.Chip, fx *faultCtx, eff float64) *batteryRun {
+	b := &batteryRun{chip: chip, bat: power.BatterySystem{Eff: eff}}
+	harvestAt := cfg.Day.MPPAt
+	if fx != nil {
+		harvestAt = fx.mppAt
 	}
-	cycles0 := bank.EquivalentFullCycles()
-	cap0 := bank.CapacityWh()
-	loss0 := bank.LossWh()
-
 	start, end := cfg.Day.StartMinute(), cfg.Day.EndMinute()
 	for t := start; t < end-1e-9; t += cfg.StepMin {
-		if err := cfg.canceled(); err != nil {
-			// The bank has already absorbed this run's partial
-			// charge/discharge history; callers chaining multi-day
-			// deployments should discard it after a cancellation.
-			return nil, err
-		}
-		dt := math.Min(cfg.StepMin, end-t)
-		harvest := trackingEff * cfg.Day.MPPAt(t)
-		demand := chip.Power(t)
-
-		direct := math.Min(harvest, demand)
-		deficit := demand - direct
-		fromBank := 0.0
-		if deficit > 0 {
-			fromBank = bank.Discharge(deficit, dt)
-		}
-		powered := direct+fromBank >= demand*0.999
-
-		if surplus := harvest - direct; surplus > 0 {
-			bank.Charge(surplus, dt)
-		}
-		bank.Idle(dt)
-
-		if o != nil {
-			o.OnTick(obs.TickEvent{Minute: t, BudgetW: harvest, DemandW: demand, OnSolar: powered})
-		}
-		if powered {
-			res.SolarMin += dt
-			res.SolarWh += demand * dt / 60
-			res.GInstrSolar += chip.Throughput(t) * dt * 60
-			res.GInstrTotal += chip.Throughput(t) * dt * 60
-		} else {
-			// The load browns out: undo the partial bank draw's delivery
-			// accounting is unnecessary (energy already left the cells — a
-			// real brownout wastes it), but no instructions commit.
-			res.HaltMin += dt
-		}
-		if cfg.KeepSeries {
-			actual := 0.0
-			if powered {
-				actual = demand
-			}
-			res.Series = append(res.Series, TracePoint{Minute: t, BudgetW: harvest, ActualW: actual, OnSolar: powered})
-		}
+		b.bat.Harvest(harvestAt(t), math.Min(cfg.StepMin, end-t))
 	}
+	return b
+}
 
-	res.Cycles = bank.EquivalentFullCycles() - cycles0
-	res.CapacityFadeWh = cap0 - bank.CapacityWh()
-	res.BatteryLossWh = bank.LossWh() - loss0
-	res.FinalSoC = bank.SoC()
-	if o != nil {
-		o.OnRunEnd(runEndEvent("BatteryBank", &res.DayResult))
+func (b *batteryRun) period(float64) {}
+
+// tick draws the demand from the store; the battery supplies on demand
+// while charged, so the offered power equals the demand.
+func (b *batteryRun) tick(t, dt float64) draw {
+	demand := b.chip.Power(t)
+	got := b.bat.Draw(demand, dt)
+	return draw{budgetW: demand, demandW: demand, solarMin: got, stop: got <= 0}
+}
+
+func (b *batteryRun) endPeriod(float64) {}
+
+func (b *batteryRun) finish() {}
+
+// bankRun is the time-coupled battery bank: the load draws from the
+// charge controller when the sun covers it and from the bank otherwise;
+// a tick neither can power browns the load out.
+type bankRun struct {
+	chip  *mcore.Chip
+	bank  *power.Bank
+	eff   float64 // charge controller tracking efficiency, unit: ratio
+	mppAt func(t float64) float64
+	res   *BankDayResult
+
+	cycles0, cap0, loss0 float64 // bank odometers at the run's start
+}
+
+func newBankRun(cfg *Config, chip *mcore.Chip, fx *faultCtx, bank *power.Bank, eff float64, res *BankDayResult) *bankRun {
+	b := &bankRun{chip: chip, bank: bank, eff: eff, mppAt: cfg.Day.MPPAt, res: res,
+		cycles0: bank.EquivalentFullCycles(), cap0: bank.CapacityWh(), loss0: bank.LossWh()}
+	if fx != nil {
+		b.mppAt = fx.mppAt
 	}
-	return res, nil
+	return b
+}
+
+func (b *bankRun) period(float64) {}
+
+func (b *bankRun) tick(t, dt float64) draw {
+	harvest := b.eff * b.mppAt(t)
+	demand := b.chip.Power(t)
+	direct := math.Min(harvest, demand)
+	fromBank := 0.0
+	if deficit := demand - direct; deficit > 0 {
+		fromBank = b.bank.Discharge(deficit, dt)
+	}
+	powered := direct+fromBank >= demand*0.999
+	if surplus := harvest - direct; surplus > 0 {
+		b.bank.Charge(surplus, dt)
+	}
+	b.bank.Idle(dt)
+	d := draw{budgetW: harvest, demandW: demand}
+	if powered {
+		d.solarMin = dt
+	} else {
+		// The load browns out: the partial bank draw already left the
+		// cells (a real brownout wastes it), but no instructions commit.
+		b.res.HaltMin += dt
+	}
+	return d
+}
+
+func (b *bankRun) endPeriod(float64) {}
+
+func (b *bankRun) finish() {
+	b.res.Cycles = b.bank.EquivalentFullCycles() - b.cycles0
+	b.res.CapacityFadeWh = b.cap0 - b.bank.CapacityWh()
+	b.res.BatteryLossWh = b.bank.LossWh() - b.loss0
+	b.res.FinalSoC = b.bank.SoC()
 }

@@ -32,7 +32,7 @@ func bankDay(t *testing.T, site atmos.Site, season atmos.Season, d int) *SolarDa
 func TestRunBatteryBankSunnyDay(t *testing.T) {
 	cfg := Config{Day: bankDay(t, atmos.AZ, atmos.Jul, 0), Mix: mix(t, "M1"), StepMin: 2}
 	bank := newBank(t, 1500)
-	res, err := RunBatteryBank(cfg, bank, 0.95)
+	res, err := Run(cfg, Bank(bank, 0.95))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRunBatteryBankUndersizedBankBrownsOut(t *testing.T) {
 	// standalone system halts for part of the day.
 	cfg := Config{Day: bankDay(t, atmos.TN, atmos.Jan, 0), Mix: mix(t, "H1"), StepMin: 2}
 	bank := newBank(t, 60)
-	res, err := RunBatteryBank(cfg, bank, 0.95)
+	res, err := Run(cfg, Bank(bank, 0.95))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestRunBatteryBankWearAccumulates(t *testing.T) {
 	var cycles float64
 	for d := 0; d < 3; d++ {
 		cfg := Config{Day: bankDay(t, atmos.CO, atmos.Oct, d), Mix: mix(t, "M2"), StepMin: 2}
-		res, err := RunBatteryBank(cfg, bank, 0.95)
+		res, err := Run(cfg, Bank(bank, 0.95))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,17 +90,17 @@ func TestRunBatteryBankWearAccumulates(t *testing.T) {
 
 func TestRunBatteryBankValidation(t *testing.T) {
 	cfg := cfgFor(t, atmos.AZ, atmos.Jan, "H1")
-	if _, err := RunBatteryBank(cfg, nil, 0.95); err == nil {
+	if _, err := Run(cfg, Bank(nil, 0.95)); err == nil {
 		t.Error("nil bank should error")
 	}
 	bank := newBank(t, 100)
-	if _, err := RunBatteryBank(cfg, bank, 0); err == nil {
+	if _, err := Run(cfg, Bank(bank, 0)); err == nil {
 		t.Error("zero tracking efficiency should error")
 	}
-	if _, err := RunBatteryBank(cfg, bank, 1.5); err == nil {
+	if _, err := Run(cfg, Bank(bank, 1.5)); err == nil {
 		t.Error("tracking efficiency > 1 should error")
 	}
-	if _, err := RunBatteryBank(Config{}, bank, 0.95); err == nil {
+	if _, err := Run(Config{}, Bank(bank, 0.95)); err == nil {
 		t.Error("missing day should error")
 	}
 }

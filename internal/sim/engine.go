@@ -4,14 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 
 	"solarcore/internal/fault"
-	"solarcore/internal/mathx"
 	"solarcore/internal/mcore"
-	"solarcore/internal/mppt"
 	"solarcore/internal/obs"
 	"solarcore/internal/power"
-	"solarcore/internal/sched"
 	"solarcore/internal/thermal"
 	"solarcore/internal/workload"
 )
@@ -121,8 +119,132 @@ func (c *Config) fillDefaults() error {
 	return nil
 }
 
-// buildChip constructs the chip and applies the mix.
-func buildChip(cfg *Config) (*mcore.Chip, error) {
+// Supply is how a day run powers the chip: MPPT tracking under a Table 6
+// policy, a fixed budget, the ideal battery or a persistent battery bank.
+// Build one with MPPT, Fixed, Battery or Bank. A Supply is an immutable
+// value; every Run builds its own allocator, chip and fault context from
+// it, so one Supply may serve concurrent runs. A Bank supply is the
+// exception: the bank's charge and wear deliberately persist across runs.
+type Supply struct {
+	kind   supplyKind
+	policy string  // MPPT: the Table 6 policy name
+	value  float64 // Fixed: the budget in W; Battery, Bank: an efficiency ratio
+	bank   *power.Bank
+}
+
+type supplyKind int
+
+const (
+	kindMPPT supplyKind = iota
+	kindFixed
+	kindBattery
+	kindBank
+)
+
+// MPPT tracks the panel's maximum power point and adapts the load under
+// the named Table 6 policy (MPPT&IC, MPPT&RR or MPPT&Opt).
+func MPPT(policy string) Supply { return Supply{kind: kindMPPT, policy: policy} }
+
+// Fixed is the non-tracking Fixed-Power baseline: the chip is planned for
+// a constant budget (greedy LP, Table 6) and runs on solar only while the
+// panel's deliverable power covers that budget — the power-transfer
+// threshold semantics of Section 6.2.
+//
+// unit: budgetW=W
+func Fixed(budgetW float64) Supply { return Supply{kind: kindFixed, value: budgetW} }
+
+// Battery is the battery-equipped standalone baseline of Section 5: a
+// dedicated MPPT charge controller banks the panel's whole-day maximum
+// power, de-rated by eff, and the chip consumes it at full speed under a
+// stable supply until it runs out.
+//
+// unit: eff=ratio
+func Battery(eff float64) Supply { return Supply{kind: kindBattery, value: eff} }
+
+// Bank is a realistic battery-equipped standalone system (Figure 2-C): a
+// dedicated MPPT charge controller harvests trackingEff × the panel MPP;
+// the load draws directly from the controller when the sun covers it and
+// from the bank otherwise; surplus charges the bank. Unlike Battery's
+// idealized energy bucket, the run sees rate limits, asymmetric losses,
+// self-discharge, the depth-of-discharge floor and cycling wear. The bank
+// state persists across runs, so multi-day deployments chain runs.
+//
+// unit: trackingEff=ratio
+func Bank(bank *power.Bank, trackingEff float64) Supply {
+	return Supply{kind: kindBank, value: trackingEff, bank: bank}
+}
+
+// source is one run's mode-specific state behind a Supply: what budget
+// applies at each tick and whether, and for how long, the demand runs on
+// solar. Everything the modes share lives in Run.
+type source interface {
+	// period opens the tracking period starting at minute t0.
+	period(t0 float64)
+	// tick decides the sub-sample [t, t+dt).
+	tick(t, dt float64) draw
+	// endPeriod closes the period opened at t0.
+	endPeriod(t0 float64)
+	// finish folds the mode's own totals into the result.
+	finish()
+}
+
+// draw is one tick's supply decision.
+type draw struct {
+	budgetW float64 // power the supply offers, unit: W
+	demandW float64 // power the chip draws, unit: W
+	// solarMin is how long the demand ran on solar: dt, less when a store
+	// runs dry mid-tick, 0 when it did not.
+	//
+	// unit: min
+	solarMin float64
+	// stop ends the day after this tick (the battery is empty).
+	stop bool
+}
+
+// open builds the run's mode-specific state over the fresh chip; fx is
+// nil unless cfg carries an armed fault schedule.
+func (s Supply) open(cfg *Config, chip *mcore.Chip, res *BankDayResult) (source, *faultCtx, error) {
+	switch s.kind {
+	case kindMPPT:
+		return newTracker(cfg, chip, s.policy, res)
+	case kindFixed:
+		if s.value <= 0 {
+			return nil, nil, fmt.Errorf("sim: fixed budget must be positive, got %v", s.value)
+		}
+		eta := power.NewConverter().Efficiency
+		// No tracker: only power-path faults and core constraints apply.
+		fx := newFaultCtx(cfg, nil, eta)
+		res.Policy = "Fixed-Power(" + strconv.FormatFloat(s.value, 'g', -1, 64) + "W)"
+		return &fixedPlan{chip: chip, budgetW: s.value, avail: deliverable{cfg.Day, eta, fx}}, fx, nil
+	}
+	if s.kind == kindBank && s.bank == nil {
+		return nil, nil, fmt.Errorf("sim: bank required")
+	}
+	if s.value <= 0 || s.value > 1 {
+		return nil, nil, fmt.Errorf("sim: efficiency %v outside (0,1]", s.value)
+	}
+	_ = chip.SetAllLevels(chip.NumLevels() - 1) // stable supply: run flat out (level is in range)
+	// The dedicated charge controller still loses harvest to power-path
+	// faults (clouds, string cuts); core faults constrain the chip.
+	// Sensor, converter and solver faults have no analogue here.
+	fx := newFaultCtx(cfg, nil, 1)
+	if s.kind == kindBank {
+		res.Policy = "BatteryBank"
+		return newBankRun(cfg, chip, fx, s.bank, s.value, res), fx, nil
+	}
+	res.Policy = "Battery(" + strconv.FormatFloat(s.value*100, 'f', 0, 64) + "%)"
+	return newBatteryRun(cfg, chip, fx, s.value), fx, nil
+}
+
+// runnerNames label RunStart/RunEnd events per supply kind.
+var runnerNames = [...]string{kindMPPT: "MPPT", kindFixed: "Fixed-Power", kindBattery: "Battery", kindBank: "BatteryBank"}
+
+// Run simulates one day of cfg powered by s. The result's bank
+// diagnostics are zero unless s is a Bank supply.
+func Run(cfg Config, s Supply) (*BankDayResult, error) {
+	if err := cfg.fillDefaults(); err != nil {
+		return nil, err
+	}
 	chip, err := mcore.NewChip(cfg.Chip)
 	if err != nil {
 		return nil, err
@@ -131,274 +253,101 @@ func buildChip(cfg *Config) (*mcore.Chip, error) {
 		return nil, err
 	}
 	_ = chip.SetAllLevels(mcore.Gated) // fresh chip: Gated is always a valid level
-	return chip, nil
-}
-
-// RunMPPT simulates one day under SolarCore power management with the
-// given load-adaptation policy (MPPT&IC, MPPT&RR or MPPT&Opt).
-func RunMPPT(cfg Config, alloc sched.Allocator) (*DayResult, error) {
-	if err := cfg.fillDefaults(); err != nil {
-		return nil, err
-	}
-	chip, err := buildChip(&cfg)
+	day := cfg.Day
+	res := &BankDayResult{DayResult: DayResult{
+		Mix:         cfg.Mix.Name,
+		Label:       day.Trace.Label(),
+		DaytimeMin:  day.DaytimeMinutes(),
+		MPPEnergyWh: day.MPPEnergyWh(),
+	}}
+	src, fx, err := s.open(&cfg, chip, res)
 	if err != nil {
 		return nil, err
 	}
-	circuit := power.NewCircuit(cfg.Day.Gen)
-	circuit.VNominal = cfg.VNominal
-	if cfg.DeltaK > 0 {
-		circuit.Conv.DeltaK = cfg.DeltaK
-	}
-	// fx is nil unless an armed fault schedule is installed; every fault
-	// touch point below is gated on it so the clean path is untouched.
-	fx := newFaultCtx(&cfg, circuit, circuit.Conv.Efficiency)
-	mcfg := mppt.Config{
-		MarginSteps: cfg.MarginSteps,
-		SensorError: cfg.SensorError,
-		ScanPoints:  cfg.ScanPoints,
-		Observer:    cfg.Observer,
-	}
-	if fx != nil {
-		mcfg.SenseFault = fx.rt.Sense
-	}
-	ctrl, err := mppt.New(circuit, chip, alloc, mcfg)
-	if err != nil {
-		return nil, err
-	}
-	alloc.Reset()
-
-	var thermalModel *thermal.Model
-	if cfg.Thermal != nil {
-		_, amb := cfg.Day.Trace.At(cfg.Day.StartMinute())
-		thermalModel, err = thermal.NewModel(chip, *cfg.Thermal, amb)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	res := newResult(cfg, alloc.Name())
+	runner := runnerNames[s.kind]
 	o := cfg.Observer
+	start, end := day.StartMinute(), day.EndMinute()
 	if o != nil {
 		o.OnRunStart(obs.RunStartEvent{
-			Runner: "MPPT", Policy: alloc.Name(), Mix: cfg.Mix.Name,
-			Label: cfg.Day.Trace.Label(), Cores: chip.NumCores(),
-			StartMin: cfg.Day.StartMinute(), EndMin: cfg.Day.EndMinute(),
+			Runner: runner, Policy: res.Policy, Mix: cfg.Mix.Name,
+			Label: res.Label, Cores: chip.NumCores(), StartMin: start, EndMin: end,
 		})
 	}
-	eta := circuit.Conv.Efficiency
-	// envAt and budgetAt route through the fault runtime when a schedule
-	// is armed; otherwise they are the clean day profile.
-	envAt, budgetAt := cfg.Day.EnvAt, func(t float64) float64 { return eta * cfg.Day.MPPAt(t) }
-	if fx != nil {
-		envAt, budgetAt = fx.envAt, fx.budgetAt
-	}
+
 	var meter power.EnergyMeter
 	ats := power.NewTransferSwitch(power.Utility)
-	top := chip.NumLevels() - 1
-	// The protective power margin is sized from the observed load ripple
-	// (Section 6.1: high-EPI workloads generate large power ripples, so
-	// they must keep more headroom and pay a larger tracking error). An
-	// EWMA of the relative step-to-step demand change drives the hysteresis
-	// band for mid-period load re-raising.
-	ripple := 0.02
-	prevDemand := 0.0
-	raiseBand := func() float64 {
-		return mathx.Clamp(5*ripple, 0.12, 0.40)
+	// A standalone supply (battery, bank) has no utility behind it and no
+	// tracking period: the day runs as one period, cancellation is
+	// checked every tick, and a tick it cannot power commits nothing.
+	standalone := s.kind >= kindBattery
+	period := cfg.TrackPeriodMin
+	if standalone {
+		period = math.Inf(1)
 	}
-
-	start, end := cfg.Day.StartMinute(), cfg.Day.EndMinute()
-	for t0 := start; t0 < end; t0 += cfg.TrackPeriodMin {
+ticks:
+	for t0 := start; t0 < end; t0 += period {
 		if err := cfg.canceled(); err != nil {
 			return nil, err
 		}
-		t1 := math.Min(t0+cfg.TrackPeriodMin, end)
+		t1 := math.Min(t0+period, end)
 		if fx != nil {
 			fx.applyAt(t0, chip)
-			if fx.wd.Mode() == fault.ModeFallback {
-				// Degraded operation: the watchdog abandoned tracking, so
-				// this period runs on the de-rated Fixed-Power budget.
-				runFallbackPeriod(&cfg, fx, chip, &meter, ats, res, t0, t1)
-				prevDemand = 0
-				continue
-			}
 		}
-		var track mppt.Result
-		var solverErr error
-		if fx != nil {
-			solverErr = fx.rt.SolverErr(t0)
-		}
-		if solverErr != nil {
-			// A typed solver fault (errors.Is fault.ErrSolverFault) is a
-			// degradation trigger, not an abort: the period runs on the
-			// utility like an overload and the watchdog counts it toward
-			// tripping into fallback.
-			fx.report.SolverFaults++
-			track = mppt.Result{Overload: true}
-		} else {
-			track = ctrl.Track(envAt(t0), t0)
-		}
-		onSolar := track.Solar()
-		trackBudget := budgetAt(t0)
-		prevDemand = 0 // tracking moved the levels; restart ripple pairing
-		if !onSolar {
-			res.Overloads++
-			// Traditional CMP on the utility: run flat out (Section 6.3).
-			_ = chip.SetAllLevels(top) // top comes from the chip itself
-		}
-		var errs []float64
+		src.period(t0)
 		for t := t0; t < t1-1e-9; t += cfg.StepMin {
+			if standalone {
+				if err := cfg.canceled(); err != nil {
+					// A bank has already absorbed this run's partial
+					// history; chained deployments should discard it.
+					return nil, err
+				}
+			}
 			dt := math.Min(cfg.StepMin, t1-t)
 			if fx != nil {
 				fx.applyAt(t, chip)
 			}
-			budget := budgetAt(t)
-			if cfg.EventTracking && trackBudget > 0 &&
-				math.Abs(budget-trackBudget) > 0.15*trackBudget {
-				track = ctrl.Track(envAt(t), t)
-				onSolar = track.Solar()
-				trackBudget = budget
-				prevDemand = 0
-				if !onSolar {
-					res.Overloads++
-					_ = chip.SetAllLevels(top) // top comes from the chip itself
-				}
-			}
-			demand := chip.Power(t)
-			// Ripple is the phase-induced demand drift at unchanged DVFS
-			// levels: compare against the post-adaptation demand of the
-			// previous sub-sample.
-			if prevDemand > 0 && demand > 0 {
-				r := math.Abs(demand-prevDemand) / prevDemand
-				ripple = 0.9*ripple + 0.1*r
-			}
+			d := src.tick(t, dt)
+			onSolar, actual := d.solarMin > 0, 0.0
 			if onSolar {
-				// Mid-period load adaptation: the controller "starts tuning
-				// its load when it detects a change in PV power supply"
-				// (Figure 12). A supply drop or phase swing above the
-				// budget sheds load instead of dropping to the utility; a
-				// recovering supply re-raises the load once the gap exceeds
-				// the hysteresis band, preserving the protective margin.
-				for demand > budget {
-					if !alloc.Lower(chip, t) {
-						break
-					}
-					demand = chip.Power(t)
-					if o != nil {
-						o.OnAlloc(obs.AllocEvent{Minute: t, Dir: -1, Reason: obs.AllocShed,
-							DemandW: demand, BudgetW: budget})
-					}
-				}
-				for budget-demand > raiseBand()*budget {
-					if !alloc.Raise(chip, t) {
-						break
-					}
-					if next := chip.Power(t); next <= budget {
-						demand = next
-						if o != nil {
-							o.OnAlloc(obs.AllocEvent{Minute: t, Dir: +1, Reason: obs.AllocRaise,
-								DemandW: demand, BudgetW: budget})
-						}
-					} else {
-						alloc.Lower(chip, t)
-						demand = chip.Power(t)
-						if o != nil {
-							o.OnAlloc(obs.AllocEvent{Minute: t, Dir: -1, Reason: obs.AllocRevert,
-								DemandW: demand, BudgetW: budget})
-						}
-						break
-					}
-				}
-			}
-			if fx != nil && onSolar && demand > 0 && fx.rt.PowerPathActive(t) {
-				// Brownout guard: an injected power-path fault can leave
-				// the settled rail sagging even under the budget; shed
-				// within this sub-sample rather than ride the sag.
-				demand = fx.brownout(t, circuit, chip, alloc, demand)
-			}
-			if thermalModel != nil {
-				// Sub-step at the thermal time constant so the governor can
-				// intervene during the transient, as a real ms-scale
-				// governor would.
-				_, amb := cfg.Day.Trace.At(t)
-				inner := cfg.Thermal.TauMin / 10
-				if inner <= 0 || inner > dt {
-					inner = dt
-				}
-				for done := 0.0; done < dt-1e-12; done += inner {
-					step := math.Min(inner, dt-done)
-					thermalModel.Advance(t, step, amb)
-				}
-				demand = chip.Power(t) // throttling may have shed load
-			}
-			prevDemand = demand
-			solarNow := onSolar && demand > 0 && demand <= budget
-			if solarNow {
+				actual = d.demandW
 				ats.Select(power.Solar)
-				meter.Add(power.Solar, demand, dt)
-				res.SolarMin += dt
-				res.GInstrSolar += chip.Throughput(t) * dt * 60
-				if budget > 0 {
-					errs = append(errs, math.Abs(budget-demand)/budget)
-				}
-			} else {
+				meter.Add(power.Solar, actual, d.solarMin)
+				res.SolarMin += d.solarMin
+				g := chip.Throughput(t) * d.solarMin * 60
+				res.GInstrSolar += g
+				res.GInstrTotal += g
+			} else if !standalone {
+				// The utility carries the tick.
 				ats.Select(power.Utility)
-				meter.Add(power.Utility, demand, dt)
+				meter.Add(power.Utility, d.demandW, dt)
+				res.GInstrTotal += chip.Throughput(t) * dt * 60
 			}
-			res.GInstrTotal += chip.Throughput(t) * dt * 60
 			if o != nil {
-				o.OnTick(obs.TickEvent{Minute: t, BudgetW: budget, DemandW: demand, OnSolar: solarNow})
+				o.OnTick(obs.TickEvent{Minute: t, BudgetW: d.budgetW, DemandW: d.demandW, OnSolar: onSolar})
 			}
 			if cfg.KeepSeries {
-				actual := 0.0
-				if solarNow {
-					actual = demand
-				}
-				res.Series = append(res.Series, TracePoint{Minute: t, BudgetW: budget, ActualW: actual, OnSolar: solarNow})
+				res.Series = append(res.Series, TracePoint{Minute: t, BudgetW: d.budgetW, ActualW: actual, OnSolar: onSolar})
+			}
+			if d.stop {
+				break ticks
 			}
 		}
-		if onSolar && len(errs) > 0 {
-			res.PeriodErrs = append(res.PeriodErrs, mathx.Mean(errs))
-		}
-		if fx != nil {
-			// Feed the period's health evidence to the watchdog; a trip
-			// makes the next period run in fallback.
-			fx.observe(fault.PeriodStats{
-				Minute: t0, Overload: track.Overload,
-				Steps: track.Steps, MaxSteps: ctrl.Cfg.MaxSteps,
-				RaisedToW: track.RaisedTo, SensedW: track.Op.PLoad,
-				BudgetW: trackBudget, MinLoadW: chip.MinPower(t0),
-				SolverFault: solverErr != nil,
-			}, fx.wd.Config().Derate*trackBudget)
-		}
+		src.endPeriod(t0)
 	}
 	if fx != nil {
 		res.Faults = fx.finish(end)
 	}
 	res.SolarWh = meter.EnergyWh(power.Solar)
 	res.UtilityWh = meter.EnergyWh(power.Utility)
-	res.Transitions = chip.Transitions()
-	res.ATSSwitches = ats.Switches()
-	if thermalModel != nil {
-		res.ThrottleEvents = thermalModel.ThrottleEvents()
-		res.PeakTempC = thermalModel.Peak()
+	if s.kind == kindMPPT {
+		// Only MPPT reports its switch; Fixed-Power's switches are a
+		// known under-report, left at 0 until results carry a model
+		// epoch (ROADMAP).
+		res.ATSSwitches = ats.Switches()
 	}
-	if cfg.DVFSTransitionUs > 0 {
-		// Debit the cumulative transition stall from committed work at the
-		// day's mean throughput. Individual stalls are far shorter than a
-		// sub-sample, so the aggregate debit is exact to first order.
-		stallSec := float64(res.Transitions) * cfg.DVFSTransitionUs * 1e-6
-		daySec := res.DaytimeMin * 60
-		if daySec > 0 {
-			frac := stallSec / daySec
-			if frac > 1 {
-				frac = 1
-			}
-			res.GInstrSolar *= 1 - frac
-			res.GInstrTotal *= 1 - frac
-		}
-	}
+	src.finish()
 	if o != nil {
-		o.OnRunEnd(runEndEvent("MPPT", res))
+		o.OnRunEnd(runEndEvent(runner, &res.DayResult))
 	}
 	return res, nil
 }
@@ -421,176 +370,5 @@ func runEndEvent(runner string, res *DayResult) obs.RunEndEvent {
 		FallbackPeriods: res.Faults.FallbackPeriods,
 		SolverFaults:    res.Faults.SolverFaults,
 		RecoveryMin:     res.Faults.RecoveryMin,
-	}
-}
-
-// RunFixed simulates one day under the non-tracking Fixed-Power baseline:
-// the chip is planned for a constant budget (greedy LP, Table 6) and runs
-// on solar only while the panel's deliverable power covers that budget —
-// the power-transfer threshold semantics of Section 6.2.
-func RunFixed(cfg Config, budgetW float64) (*DayResult, error) {
-	if err := cfg.fillDefaults(); err != nil {
-		return nil, err
-	}
-	if budgetW <= 0 {
-		return nil, fmt.Errorf("sim: fixed budget must be positive, got %v", budgetW)
-	}
-	chip, err := buildChip(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	conv := power.NewConverter()
-	eta := conv.Efficiency
-	// The fixed baseline has no tracker, so only power-path faults and
-	// core constraints apply; availAt routes through the fault runtime.
-	fx := newFaultCtx(&cfg, nil, eta)
-	availAt := func(t float64) float64 { return eta * cfg.Day.MPPAt(t) }
-	if fx != nil {
-		availAt = fx.budgetAt
-	}
-
-	res := newResult(cfg, "Fixed-Power")
-	res.Policy = fmt.Sprintf("Fixed-Power(%gW)", budgetW)
-	o := cfg.Observer
-	if o != nil {
-		o.OnRunStart(obs.RunStartEvent{
-			Runner: "Fixed-Power", Policy: res.Policy, Mix: cfg.Mix.Name,
-			Label: cfg.Day.Trace.Label(), Cores: chip.NumCores(),
-			StartMin: cfg.Day.StartMinute(), EndMin: cfg.Day.EndMinute(),
-		})
-	}
-	var meter power.EnergyMeter
-
-	start, end := cfg.Day.StartMinute(), cfg.Day.EndMinute()
-	for t0 := start; t0 < end; t0 += cfg.TrackPeriodMin {
-		if err := cfg.canceled(); err != nil {
-			return nil, err
-		}
-		t1 := math.Min(t0+cfg.TrackPeriodMin, end)
-		if fx != nil {
-			fx.applyAt(t0, chip)
-		}
-		sched.PlanBudget(chip, t0, budgetW)
-		for t := t0; t < t1-1e-9; t += cfg.StepMin {
-			dt := math.Min(cfg.StepMin, t1-t)
-			if fx != nil {
-				fx.applyAt(t, chip)
-			}
-			avail := availAt(t)
-			demand := chip.Power(t)
-			solarNow := avail >= budgetW && demand > 0 && demand <= avail
-			if solarNow {
-				meter.Add(power.Solar, demand, dt)
-				res.SolarMin += dt
-				res.GInstrSolar += chip.Throughput(t) * dt * 60
-			} else {
-				meter.Add(power.Utility, demand, dt)
-			}
-			res.GInstrTotal += chip.Throughput(t) * dt * 60
-			if o != nil {
-				o.OnTick(obs.TickEvent{Minute: t, BudgetW: avail, DemandW: demand, OnSolar: solarNow})
-			}
-			if cfg.KeepSeries {
-				actual := 0.0
-				if solarNow {
-					actual = demand
-				}
-				res.Series = append(res.Series, TracePoint{Minute: t, BudgetW: avail, ActualW: actual, OnSolar: solarNow})
-			}
-		}
-	}
-	if fx != nil {
-		res.Faults = fx.finish(end)
-	}
-	res.SolarWh = meter.EnergyWh(power.Solar)
-	res.UtilityWh = meter.EnergyWh(power.Utility)
-	if o != nil {
-		o.OnRunEnd(runEndEvent("Fixed-Power", res))
-	}
-	return res, nil
-}
-
-// RunBattery simulates the battery-equipped standalone baseline of
-// Section 5: a dedicated MPPT charge controller harvests the panel's
-// maximum power all day, the de-rated energy is buffered, and the chip
-// consumes it at full speed under a stable supply until it runs out.
-func RunBattery(cfg Config, eff float64) (*DayResult, error) {
-	if err := cfg.fillDefaults(); err != nil {
-		return nil, err
-	}
-	if eff <= 0 || eff > 1 {
-		return nil, fmt.Errorf("sim: battery efficiency %v outside (0,1]", eff)
-	}
-	chip, err := buildChip(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	_ = chip.SetAllLevels(chip.NumLevels() - 1) // level is in range by construction
-
-	res := newResult(cfg, fmt.Sprintf("Battery(%.0f%%)", eff*100))
-	o := cfg.Observer
-	if o != nil {
-		o.OnRunStart(obs.RunStartEvent{
-			Runner: "Battery", Policy: res.Policy, Mix: cfg.Mix.Name,
-			Label: cfg.Day.Trace.Label(), Cores: chip.NumCores(),
-			StartMin: cfg.Day.StartMinute(), EndMin: cfg.Day.EndMinute(),
-		})
-	}
-	bat := power.NewBatterySystem(eff)
-	// The battery's dedicated charge controller still loses harvest to
-	// power-path faults (clouds, string cuts); core faults constrain the
-	// chip. Sensor, converter and solver faults have no battery analogue.
-	fx := newFaultCtx(&cfg, nil, 1)
-	harvestAt := cfg.Day.MPPAt
-	if fx != nil {
-		harvestAt = fx.mppAt
-	}
-
-	start, end := cfg.Day.StartMinute(), cfg.Day.EndMinute()
-	// The battery is optimally charged by its own tracker (Section 5): the
-	// whole day's MPP energy is banked up front.
-	for t := start; t < end-1e-9; t += cfg.StepMin {
-		dt := math.Min(cfg.StepMin, end-t)
-		bat.Harvest(harvestAt(t), dt)
-	}
-	for t := start; t < end-1e-9; t += cfg.StepMin {
-		if err := cfg.canceled(); err != nil {
-			return nil, err
-		}
-		dt := math.Min(cfg.StepMin, end-t)
-		if fx != nil {
-			fx.applyAt(t, chip)
-		}
-		demand := chip.Power(t)
-		got := bat.Draw(demand, dt)
-		if o != nil {
-			// The battery supplies on demand while charged, so the
-			// available power equals demand until the bank empties.
-			o.OnTick(obs.TickEvent{Minute: t, BudgetW: demand, DemandW: demand, OnSolar: got > 0})
-		}
-		if got <= 0 {
-			break
-		}
-		res.SolarMin += got
-		res.SolarWh += demand * got / 60
-		res.GInstrSolar += chip.Throughput(t) * got * 60
-		res.GInstrTotal += chip.Throughput(t) * got * 60
-	}
-	if fx != nil {
-		res.Faults = fx.finish(end)
-	}
-	if o != nil {
-		o.OnRunEnd(runEndEvent("Battery", res))
-	}
-	return res, nil
-}
-
-func newResult(cfg Config, policy string) *DayResult {
-	return &DayResult{
-		Policy:      policy,
-		Mix:         cfg.Mix.Name,
-		Label:       cfg.Day.Trace.Label(),
-		DaytimeMin:  cfg.Day.DaytimeMinutes(),
-		MPPEnergyWh: cfg.Day.MPPEnergyWh(),
 	}
 }

@@ -10,6 +10,9 @@ import (
 	"solarcore/internal/workload"
 )
 
+// optTPR is the paper's headline supply: MPPT under MPPT&Opt.
+var optTPR = MPPT("MPPT&Opt")
+
 func mix(t *testing.T, name string) workload.Mix {
 	t.Helper()
 	m, err := workload.MixByName(name)
@@ -30,7 +33,7 @@ func cfgFor(t *testing.T, site atmos.Site, season atmos.Season, mixName string) 
 func TestRunMPPTSunnyDay(t *testing.T) {
 	cfg := cfgFor(t, atmos.AZ, atmos.Jan, "HM2")
 	cfg.KeepSeries = true
-	res, err := RunMPPT(cfg, sched.OptTPR{})
+	res, err := Run(cfg, optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +65,7 @@ func TestRunMPPTSeriesTracksBudget(t *testing.T) {
 	// closely follows the maximal power budget from below.
 	cfg := cfgFor(t, atmos.AZ, atmos.Jan, "L1")
 	cfg.KeepSeries = true
-	res, err := RunMPPT(cfg, sched.OptTPR{})
+	res, err := Run(cfg, optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +88,7 @@ func TestRunMPPTConservation(t *testing.T) {
 	// Energy bookkeeping: solar + utility energy equals integrated chip
 	// power; solar never exceeds the theoretical panel maximum.
 	cfg := cfgFor(t, atmos.CO, atmos.Jul, "M2")
-	res, err := RunMPPT(cfg, &sched.RoundRobin{})
+	res, err := Run(cfg, MPPT("MPPT&RR"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +108,7 @@ func TestRunFixedThresholdTradeoff(t *testing.T) {
 	cfg := cfgFor(t, atmos.AZ, atmos.Oct, "M1")
 	prev := math.Inf(1)
 	for _, b := range []float64{25, 75, 125} {
-		res, err := RunFixed(cfg, b)
+		res, err := Run(cfg, Fixed(b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,13 +123,13 @@ func TestRunFixedBelowMPPT(t *testing.T) {
 	// The headline Fixed-Power comparison: even a decent fixed budget draws
 	// clearly less solar energy than tracking on the same day.
 	cfg := cfgFor(t, atmos.AZ, atmos.Apr, "HM2")
-	mpptRes, err := RunMPPT(cfg, sched.OptTPR{})
+	mpptRes, err := Run(cfg, optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bestFixed := 0.0
 	for _, b := range []float64{25, 50, 75, 100, 125} {
-		res, err := RunFixed(cfg, b)
+		res, err := Run(cfg, Fixed(b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,10 +144,10 @@ func TestRunFixedBelowMPPT(t *testing.T) {
 
 func TestRunFixedValidation(t *testing.T) {
 	cfg := cfgFor(t, atmos.AZ, atmos.Jan, "H1")
-	if _, err := RunFixed(cfg, 0); err == nil {
+	if _, err := Run(cfg, Fixed(0)); err == nil {
 		t.Error("zero budget should error")
 	}
-	if _, err := RunFixed(cfg, -5); err == nil {
+	if _, err := Run(cfg, Fixed(-5)); err == nil {
 		t.Error("negative budget should error")
 	}
 }
@@ -155,7 +158,7 @@ func TestRunBatteryUtilizationEqualsEff(t *testing.T) {
 	// cannot absorb it within the day, which cannot happen with a single
 	// 180 W panel against a ~150 W chip.
 	cfg := cfgFor(t, atmos.AZ, atmos.Jul, "H1")
-	res, err := RunBattery(cfg, power.BatteryUpperEff)
+	res, err := Run(cfg, Battery(power.BatteryUpperEff))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,36 +175,36 @@ func TestRunBatteryUtilizationEqualsEff(t *testing.T) {
 
 func TestRunBatteryOrdering(t *testing.T) {
 	cfg := cfgFor(t, atmos.CO, atmos.Apr, "ML2")
-	hi, err := RunBattery(cfg, power.BatteryUpperEff)
+	hi, err := Run(cfg, Battery(power.BatteryUpperEff))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, err := RunBattery(cfg, power.BatteryLowerEff)
+	lo, err := Run(cfg, Battery(power.BatteryLowerEff))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hi.PTP() <= lo.PTP() {
 		t.Errorf("Battery-U PTP %.0f not above Battery-L %.0f", hi.PTP(), lo.PTP())
 	}
-	if _, err := RunBattery(cfg, 1.5); err == nil {
+	if _, err := Run(cfg, Battery(1.5)); err == nil {
 		t.Error("efficiency > 1 should error")
 	}
-	if _, err := RunBattery(cfg, 0); err == nil {
+	if _, err := Run(cfg, Battery(0)); err == nil {
 		t.Error("zero efficiency should error")
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := RunMPPT(Config{}, sched.OptTPR{}); err == nil {
+	if _, err := Run(Config{}, optTPR); err == nil {
 		t.Error("missing day should error")
 	}
 	cfg := Config{Day: testDay(t, atmos.AZ, atmos.Jan)}
-	if _, err := RunMPPT(cfg, sched.OptTPR{}); err == nil {
+	if _, err := Run(cfg, optTPR); err == nil {
 		t.Error("missing mix should error")
 	}
 	bad := cfgFor(t, atmos.AZ, atmos.Jan, "H1")
 	bad.Mix = workload.Mix{Name: "bad", Programs: []string{"nope", "x", "x", "x", "x", "x", "x", "x"}}
-	if _, err := RunMPPT(bad, sched.OptTPR{}); err == nil {
+	if _, err := Run(bad, optTPR); err == nil {
 		t.Error("bad mix should error")
 	}
 }
@@ -211,12 +214,12 @@ func TestPolicyOrderingOnOneDay(t *testing.T) {
 	// ordering: Opt ≥ RR ≥ IC in performance-time product.
 	cfg := cfgFor(t, atmos.AZ, atmos.Apr, "ML2")
 	ptp := map[string]float64{}
-	for _, alloc := range sched.Allocators() {
-		res, err := RunMPPT(cfg, alloc)
+	for _, policy := range sched.Names() {
+		res, err := Run(cfg, MPPT(policy))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ptp[alloc.Name()] = res.PTP()
+		ptp[policy] = res.PTP()
 	}
 	if !(ptp["MPPT&Opt"] >= ptp["MPPT&RR"]) {
 		t.Errorf("Opt %.0f below RR %.0f", ptp["MPPT&Opt"], ptp["MPPT&RR"])

@@ -9,7 +9,6 @@ import (
 	"solarcore/internal/fault"
 	"solarcore/internal/obs"
 	"solarcore/internal/power"
-	"solarcore/internal/sched"
 )
 
 // zeroIntensitySchedule composes one of every injector kind, all at zero
@@ -37,24 +36,18 @@ func runTraced(t *testing.T, cfg Config, policy string) (*DayResult, []byte) {
 	sink := obs.NewJSONLSink(&buf)
 	cfg.Observer = sink
 	cfg.KeepSeries = true
-	var res *DayResult
-	var err error
+	supply := MPPT(policy)
 	if policy == "Fixed" {
-		res, err = RunFixed(cfg, 75)
-	} else {
-		alloc, ok := sched.ByName(policy)
-		if !ok {
-			t.Fatalf("unknown policy %q", policy)
-		}
-		res, err = RunMPPT(cfg, alloc)
+		supply = Fixed(75)
 	}
+	res, err := Run(cfg, supply)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return res, buf.Bytes()
+	return &res.DayResult, buf.Bytes()
 }
 
 func TestFaultNoOpInvariant(t *testing.T) {
@@ -100,7 +93,7 @@ func TestSensorDropoutDegradesGracefully(t *testing.T) {
 
 	cfg := cfgFor(t, atmos.AZ, atmos.Apr, "M2")
 	cfg.Faults = schedule()
-	res, err := RunMPPT(cfg, sched.OptTPR{})
+	res, err := Run(cfg, optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +114,7 @@ func TestSensorDropoutDegradesGracefully(t *testing.T) {
 	// de-rating applied to the best fixed budget of a small grid).
 	bestFixedU := 0.0
 	for _, b := range []float64{25, 50, 75, 100} {
-		fres, err := RunFixed(cfgFor(t, atmos.AZ, atmos.Apr, "M2"), b)
+		fres, err := Run(cfgFor(t, atmos.AZ, atmos.Apr, "M2"), Fixed(b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +132,7 @@ func TestSolverFaultDoesNotAbort(t *testing.T) {
 	cfg := cfgFor(t, atmos.AZ, atmos.Jul, "H1")
 	cfg.Faults = fault.NewSchedule(0,
 		&fault.SolverFault{W: fault.Window{T0: 600, T1: 700}, I: 1})
-	res, err := RunMPPT(cfg, sched.OptTPR{})
+	res, err := Run(cfg, optTPR)
 	if err != nil {
 		t.Fatalf("solver faults aborted the run: %v", err)
 	}
@@ -155,14 +148,14 @@ func TestSolverFaultDoesNotAbort(t *testing.T) {
 }
 
 func TestCloudBurstReducesNotZeroes(t *testing.T) {
-	clean, err := RunMPPT(cfgFor(t, atmos.AZ, atmos.Jul, "M2"), sched.OptTPR{})
+	clean, err := Run(cfgFor(t, atmos.AZ, atmos.Jul, "M2"), optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := cfgFor(t, atmos.AZ, atmos.Jul, "M2")
 	cfg.Faults = fault.NewSchedule(0,
 		&fault.CloudBurst{W: fault.Window{T0: 600, T1: 720}, I: 0.9})
-	res, err := RunMPPT(cfg, sched.OptTPR{})
+	res, err := Run(cfg, optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +175,7 @@ func TestCoreFailRespectedAllDay(t *testing.T) {
 	cfg := cfgFor(t, atmos.AZ, atmos.Jul, "H1")
 	cfg.Faults = fault.NewSchedule(0,
 		&fault.CoreFail{W: fault.Window{T0: 600, T1: 700}, I: 0.5})
-	res, err := RunMPPT(cfg, sched.OptTPR{})
+	res, err := Run(cfg, optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +183,7 @@ func TestCoreFailRespectedAllDay(t *testing.T) {
 		t.Error("core-fail window never opened")
 	}
 	// The faulted day commits less work than the clean one.
-	clean, err := RunMPPT(cfgFor(t, atmos.AZ, atmos.Jul, "H1"), sched.OptTPR{})
+	clean, err := Run(cfgFor(t, atmos.AZ, atmos.Jul, "H1"), optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"math"
+	"slices"
 
 	"solarcore/internal/fault"
 	"solarcore/internal/mcore"
@@ -78,7 +78,7 @@ type faultCtx struct {
 	rt  *fault.Runtime
 	wd  *fault.Watchdog
 	day *SolarDay
-	gen *faultGen
+	gen faultGen
 	// conv is the live circuit converter (nil for runners without one);
 	// baseEff is its clean efficiency, eta the clean conversion factor
 	// used for budget math.
@@ -91,7 +91,6 @@ type faultCtx struct {
 	capped bool // level caps currently installed on the chip
 
 	prevActive []fault.Injector
-	prevSet    map[fault.Injector]bool
 }
 
 // newFaultCtx builds the per-run fault state, or nil when cfg carries no
@@ -109,12 +108,12 @@ func newFaultCtx(cfg *Config, circuit *power.Circuit, eta float64) *faultCtx {
 		rt:  rt,
 		wd:  fault.NewWatchdog(cfg.Watchdog),
 		day: cfg.Day,
-		gen: &faultGen{inner: cfg.Day.Gen, scale: 1},
+		gen: faultGen{inner: cfg.Day.Gen, scale: 1},
 		eta: eta,
 		o:   cfg.Observer,
 	}
 	if circuit != nil {
-		circuit.Gen = fx.gen
+		circuit.Gen = &fx.gen
 		fx.conv = circuit.Conv
 		fx.baseEff = circuit.Conv.Efficiency
 	}
@@ -186,24 +185,20 @@ func (fx *faultCtx) applyAt(t float64, chip *mcore.Chip) {
 // unit: t=min
 func (fx *faultCtx) edgeEvents(t float64) {
 	now := fx.rt.Active(t)
-	set := make(map[fault.Injector]bool, len(now))
-	for _, inj := range now {
-		set[inj] = true
-	}
 	for _, inj := range fx.prevActive {
-		if !set[inj] {
+		if !slices.Contains(now, inj) {
 			obs.EmitFault(fx.o, obs.FaultEvent{Minute: t, Kind: inj.Kind(),
 				Intensity: inj.Intensity(), Phase: obs.FaultEnd})
 		}
 	}
 	for _, inj := range now {
-		if !fx.prevSet[inj] {
+		if !slices.Contains(fx.prevActive, inj) {
 			fx.report.Injected++
 			obs.EmitFault(fx.o, obs.FaultEvent{Minute: t, Kind: inj.Kind(),
 				Intensity: inj.Intensity(), Phase: obs.FaultBegin})
 		}
 	}
-	fx.prevActive, fx.prevSet = now, set
+	fx.prevActive = now
 }
 
 // brownout is the brownout guard: while the settled rail voltage sags
@@ -238,22 +233,18 @@ func (fx *faultCtx) brownout(t float64, circuit *power.Circuit, chip *mcore.Chip
 // transitions into fallback.
 //
 // unit: fallbackBudgetW=W
-func (fx *faultCtx) observe(st fault.PeriodStats, fallbackBudgetW float64) fault.Mode {
+func (fx *faultCtx) observe(st fault.PeriodStats, fallbackBudgetW float64) {
 	from := fx.wd.Mode()
-	to := fx.wd.Observe(st)
-	fx.emitWatchdog(st.Minute, from, to, fallbackBudgetW)
-	return to
+	fx.emitWatchdog(st.Minute, from, fx.wd.Observe(st), fallbackBudgetW)
 }
 
 // observeFallback accounts one fallback period and emits the transition
 // out of fallback when the hold elapses.
 //
 // unit: t=min
-func (fx *faultCtx) observeFallback(t float64) fault.Mode {
+func (fx *faultCtx) observeFallback(t float64) {
 	from := fx.wd.Mode()
-	to := fx.wd.ObserveFallback(t)
-	fx.emitWatchdog(t, from, to, 0)
-	return to
+	fx.emitWatchdog(t, from, fx.wd.ObserveFallback(t), 0)
 }
 
 // emitWatchdog reports a supervision state transition, if any.
@@ -289,48 +280,6 @@ func watchdogReason(from, to fault.Mode) string {
 		return "recovered"
 	}
 	return ""
-}
-
-// runFallbackPeriod runs one tracking period in watchdog fallback: the
-// chip is planned once against the de-rated budget (Table 3 de-rating of
-// the actually-available power) with Fixed-Power solar semantics, and
-// the tracking controller is left alone until the hold elapses. The
-// thermal governor is not advanced here — fallback runs well below the
-// clean budget, so throttling cannot engage.
-//
-// unit: t0=min, t1=min
-func runFallbackPeriod(cfg *Config, fx *faultCtx, chip *mcore.Chip, meter *power.EnergyMeter, ats *power.TransferSwitch, res *DayResult, t0, t1 float64) {
-	o := cfg.Observer
-	fbBudget := fx.wd.Config().Derate * fx.budgetAt(t0)
-	sched.PlanBudget(chip, t0, fbBudget)
-	for t := t0; t < t1-1e-9; t += cfg.StepMin {
-		dt := math.Min(cfg.StepMin, t1-t)
-		fx.applyAt(t, chip)
-		avail := fx.budgetAt(t)
-		demand := chip.Power(t)
-		solarNow := avail >= fbBudget && demand > 0 && demand <= avail
-		if solarNow {
-			ats.Select(power.Solar)
-			meter.Add(power.Solar, demand, dt)
-			res.SolarMin += dt
-			res.GInstrSolar += chip.Throughput(t) * dt * 60
-		} else {
-			ats.Select(power.Utility)
-			meter.Add(power.Utility, demand, dt)
-		}
-		res.GInstrTotal += chip.Throughput(t) * dt * 60
-		if o != nil {
-			o.OnTick(obs.TickEvent{Minute: t, BudgetW: avail, DemandW: demand, OnSolar: solarNow})
-		}
-		if cfg.KeepSeries {
-			actual := 0.0
-			if solarNow {
-				actual = demand
-			}
-			res.Series = append(res.Series, TracePoint{Minute: t, BudgetW: avail, ActualW: actual, OnSolar: solarNow})
-		}
-	}
-	fx.observeFallback(t0)
 }
 
 // finish closes any still-open fault windows with end events and folds

@@ -18,14 +18,14 @@ func TestDayRunInvariants(t *testing.T) {
 		site := atmos.Sites[int(siteRaw)%len(atmos.Sites)]
 		season := atmos.Seasons[int(seasonRaw)%len(atmos.Seasons)]
 		mix := workload.Mixes[int(mixRaw)%len(workload.Mixes)]
-		alloc := sched.Allocators()[int(policyRaw)%3]
+		policy := sched.Names()[int(policyRaw)%3]
 
 		tr := atmos.Generate(site, season, atmos.GenConfig{Day: int(dayRaw % 4)})
 		day, err := NewSolarDay(tr, pv.BP3180N(), 1, 1)
 		if err != nil {
 			return false
 		}
-		res, err := RunMPPT(Config{Day: day, Mix: mix, StepMin: 4}, alloc)
+		res, err := Run(Config{Day: day, Mix: mix, StepMin: 4}, MPPT(policy))
 		if err != nil {
 			return false
 		}
@@ -77,14 +77,14 @@ func TestBaselineInvariants(t *testing.T) {
 		mix := workload.Mixes[0]
 		cfg := Config{Day: day, Mix: mix, StepMin: 4}
 
-		fx, err := RunFixed(cfg, 20+float64(budgetRaw))
+		fx, err := Run(cfg, Fixed(20+float64(budgetRaw)))
 		if err != nil {
 			return false
 		}
 		if fx.SolarWh < 0 || fx.SolarWh > fx.MPPEnergyWh*1.0001 || fx.GInstrSolar > fx.GInstrTotal+1e-6 {
 			return false
 		}
-		bt, err := RunBattery(cfg, 0.85)
+		bt, err := Run(cfg, Battery(0.85))
 		if err != nil {
 			return false
 		}

@@ -7,7 +7,6 @@ import (
 
 	"solarcore/internal/atmos"
 	"solarcore/internal/obs"
-	"solarcore/internal/sched"
 )
 
 // recorder captures every hook invocation in order.
@@ -50,7 +49,7 @@ func TestObserverEventSequence(t *testing.T) {
 	rec := &recorder{}
 	cfg.Observer = rec
 
-	res, err := RunMPPT(cfg, sched.OptTPR{})
+	res, err := Run(cfg, optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +96,11 @@ func TestObserverEventSequence(t *testing.T) {
 func TestObserverBaselines(t *testing.T) {
 	runs := map[string]func(cfg Config) error{
 		"Fixed": func(cfg Config) error {
-			_, err := RunFixed(cfg, 75)
+			_, err := Run(cfg, Fixed(75))
 			return err
 		},
 		"Battery": func(cfg Config) error {
-			_, err := RunBattery(cfg, 0.92)
+			_, err := Run(cfg, Battery(0.92))
 			return err
 		},
 	}
@@ -127,12 +126,12 @@ func TestObserverBaselines(t *testing.T) {
 // perturb the simulation itself.
 func TestObserverUnaffectedResult(t *testing.T) {
 	cfg := cfgFor(t, atmos.NC, atmos.Oct, "L1")
-	plain, err := RunMPPT(cfg, sched.OptTPR{})
+	plain, err := Run(cfg, optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Observer = obs.Nop{}
-	observed, err := RunMPPT(cfg, sched.OptTPR{})
+	observed, err := Run(cfg, optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,24 +140,22 @@ func TestObserverUnaffectedResult(t *testing.T) {
 	}
 }
 
-// TestRunCanceled checks the engine honors Config.Ctx on every entry
-// point: wrapped context error, no partial result.
+// TestRunCanceled checks the engine honors Config.Ctx under every supply
+// and in a series: wrapped context error, no partial result.
 func TestRunCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := cfgFor(t, atmos.AZ, atmos.Jan, "H1")
 	cfg.Ctx = ctx
 
-	if res, err := RunMPPT(cfg, sched.OptTPR{}); !errors.Is(err, context.Canceled) || res != nil {
-		t.Errorf("RunMPPT: res=%v err=%v", res, err)
+	for name, s := range map[string]Supply{
+		"MPPT": optTPR, "Fixed": Fixed(75), "Battery": Battery(0.92), "Bank": Bank(newBank(t, 900), 0.95),
+	} {
+		if res, err := Run(cfg, s); !errors.Is(err, context.Canceled) || res != nil {
+			t.Errorf("%s: res=%v err=%v", name, res, err)
+		}
 	}
-	if res, err := RunFixed(cfg, 75); !errors.Is(err, context.Canceled) || res != nil {
-		t.Errorf("RunFixed: res=%v err=%v", res, err)
-	}
-	if res, err := RunBattery(cfg, 0.92); !errors.Is(err, context.Canceled) || res != nil {
-		t.Errorf("RunBattery: res=%v err=%v", res, err)
-	}
-	if sr, err := RunMPPTSeries(cfg, sched.OptTPR{}, []*SolarDay{cfg.Day}); !errors.Is(err, context.Canceled) || sr != nil {
-		t.Errorf("RunMPPTSeries: res=%v err=%v", sr, err)
+	if sr, err := RunSeries(cfg, optTPR, []*SolarDay{cfg.Day}); !errors.Is(err, context.Canceled) || sr != nil {
+		t.Errorf("RunSeries: res=%v err=%v", sr, err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"solarcore/internal/mathx"
-	"solarcore/internal/sched"
 )
 
 // SeriesResult aggregates a multi-day deployment under one policy.
@@ -12,40 +11,36 @@ type SeriesResult struct {
 	Days []*DayResult
 }
 
-// MeanUtilization returns the average daily green-energy utilization.
-func (s *SeriesResult) MeanUtilization() float64 {
+// mean averages f over the days.
+func (s *SeriesResult) mean(f func(*DayResult) float64) float64 {
 	vals := make([]float64, len(s.Days))
 	for i, d := range s.Days {
-		vals[i] = d.Utilization()
+		vals[i] = f(d)
 	}
 	return mathx.Mean(vals)
 }
 
-// MeanEffectiveDuration returns the average daily solar-powered fraction.
-func (s *SeriesResult) MeanEffectiveDuration() float64 {
-	vals := make([]float64, len(s.Days))
-	for i, d := range s.Days {
-		vals[i] = d.EffectiveDuration()
-	}
-	return mathx.Mean(vals)
-}
-
-// TotalPTP returns the total solar-powered giga-instructions.
-func (s *SeriesResult) TotalPTP() float64 {
+// total sums f over the days.
+func (s *SeriesResult) total(f func(*DayResult) float64) float64 {
 	sum := 0.0
 	for _, d := range s.Days {
-		sum += d.PTP()
+		sum += f(d)
 	}
 	return sum
 }
+
+// MeanUtilization returns the average daily green-energy utilization.
+func (s *SeriesResult) MeanUtilization() float64 { return s.mean((*DayResult).Utilization) }
+
+// MeanEffectiveDuration returns the average daily solar-powered fraction.
+func (s *SeriesResult) MeanEffectiveDuration() float64 { return s.mean((*DayResult).EffectiveDuration) }
+
+// TotalPTP returns the total solar-powered giga-instructions.
+func (s *SeriesResult) TotalPTP() float64 { return s.total((*DayResult).PTP) }
 
 // TotalSolarWh returns the total solar energy delivered.
 func (s *SeriesResult) TotalSolarWh() float64 {
-	sum := 0.0
-	for _, d := range s.Days {
-		sum += d.SolarWh
-	}
-	return sum
+	return s.total(func(d *DayResult) float64 { return d.SolarWh })
 }
 
 // TrackErrGeoMean pools every tracking period across the deployment.
@@ -57,12 +52,11 @@ func (s *SeriesResult) TrackErrGeoMean() float64 {
 	return mathx.GeoMean(all)
 }
 
-// RunMPPTSeries runs the same configuration over a sequence of solar days
-// (a multi-day deployment) under one MPPT policy. The allocator persists
-// across days, as a deployed controller would. A cancellation on base.Ctx
+// RunSeries runs the same configuration over a sequence of solar days (a
+// multi-day deployment), one Run per day. A cancellation on base.Ctx
 // aborts the sweep between (or within) days and returns the wrapped
 // context error instead of a partial series.
-func RunMPPTSeries(base Config, alloc sched.Allocator, days []*SolarDay) (*SeriesResult, error) {
+func RunSeries(base Config, s Supply, days []*SolarDay) (*SeriesResult, error) {
 	if len(days) == 0 {
 		return nil, fmt.Errorf("sim: series needs at least one day")
 	}
@@ -73,11 +67,11 @@ func RunMPPTSeries(base Config, alloc sched.Allocator, days []*SolarDay) (*Serie
 		}
 		cfg := base
 		cfg.Day = day
-		res, err := RunMPPT(cfg, alloc)
+		res, err := Run(cfg, s)
 		if err != nil {
 			return nil, fmt.Errorf("sim: series day %d: %w", i, err)
 		}
-		out.Days = append(out.Days, res)
+		out.Days = append(out.Days, &res.DayResult)
 	}
 	return out, nil
 }

@@ -6,7 +6,6 @@ import (
 	"solarcore/internal/atmos"
 	"solarcore/internal/mcore"
 	"solarcore/internal/pv"
-	"solarcore/internal/sched"
 	"solarcore/internal/workload"
 )
 
@@ -21,7 +20,7 @@ func TestRunMPPTSeries(t *testing.T) {
 		days = append(days, day)
 	}
 	base := Config{Mix: mix(t, "HM2"), StepMin: 2}
-	res, err := RunMPPTSeries(base, sched.OptTPR{}, days)
+	res, err := RunSeries(base, optTPR, days)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +50,13 @@ func TestRunMPPTSeries(t *testing.T) {
 }
 
 func TestRunMPPTSeriesErrors(t *testing.T) {
-	if _, err := RunMPPTSeries(Config{}, sched.OptTPR{}, nil); err == nil {
+	if _, err := RunSeries(Config{}, optTPR, nil); err == nil {
 		t.Error("empty series should error")
 	}
 	tr := atmos.Generate(atmos.AZ, atmos.Jan, atmos.GenConfig{})
 	day, _ := NewSolarDay(tr, pv.BP3180N(), 1, 1)
 	// Missing mix: the per-day run must fail and surface the day index.
-	if _, err := RunMPPTSeries(Config{}, sched.OptTPR{}, []*SolarDay{day}); err == nil {
+	if _, err := RunSeries(Config{}, optTPR, []*SolarDay{day}); err == nil {
 		t.Error("bad base config should error")
 	}
 }
@@ -65,7 +64,7 @@ func TestRunMPPTSeriesErrors(t *testing.T) {
 func TestDeltaKOverride(t *testing.T) {
 	cfg := cfgFor(t, atmos.AZ, atmos.Apr, "M1")
 	cfg.DeltaK = 0.001 // very fine perturbation still tracks
-	res, err := RunMPPT(cfg, sched.OptTPR{})
+	res, err := Run(cfg, optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +76,7 @@ func TestDeltaKOverride(t *testing.T) {
 func TestSensorErrorThroughEngine(t *testing.T) {
 	cfg := cfgFor(t, atmos.AZ, atmos.Apr, "M1")
 	cfg.SensorError = 0.02
-	res, err := RunMPPT(cfg, sched.OptTPR{})
+	res, err := Run(cfg, optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +90,7 @@ func TestBigLittleChipTracksDay(t *testing.T) {
 	// manage a heterogeneous chip without modification.
 	cfg := cfgFor(t, atmos.AZ, atmos.Apr, "HM2")
 	cfg.Chip = mcore.BigLittleConfig()
-	res, err := RunMPPT(cfg, sched.OptTPR{})
+	res, err := Run(cfg, optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +104,7 @@ func TestBigLittleChipTracksDay(t *testing.T) {
 
 func TestDVFSTransitionCost(t *testing.T) {
 	cfg := cfgFor(t, atmos.AZ, atmos.Jul, "HM2")
-	free, err := RunMPPT(cfg, sched.OptTPR{})
+	free, err := Run(cfg, optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +112,7 @@ func TestDVFSTransitionCost(t *testing.T) {
 		t.Fatal("a tracking day should record DVFS transitions")
 	}
 	cfg.DVFSTransitionUs = 50 // conventional off-chip VRM
-	slow, err := RunMPPT(cfg, sched.OptTPR{})
+	slow, err := Run(cfg, optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +129,11 @@ func TestDVFSTransitionCost(t *testing.T) {
 func TestATSSwitchAccounting(t *testing.T) {
 	// A cloudy TN winter day forces the ATS back and forth; a clear AZ July
 	// day barely needs the utility.
-	cloudy, err := RunMPPT(cfgFor(t, atmos.TN, atmos.Jan, "M1"), sched.OptTPR{})
+	cloudy, err := Run(cfgFor(t, atmos.TN, atmos.Jan, "M1"), optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clear, err := RunMPPT(cfgFor(t, atmos.AZ, atmos.Jul, "M1"), sched.OptTPR{})
+	clear, err := Run(cfgFor(t, atmos.AZ, atmos.Jul, "M1"), optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +149,9 @@ func TestDayRunDeterministic(t *testing.T) {
 	// The entire pipeline is deterministic: identical configs produce
 	// byte-identical results (the property Workflow-style reproduction of
 	// EXPERIMENTS.md relies on).
-	run := func() *DayResult {
+	run := func() *BankDayResult {
 		cfg := cfgFor(t, atmos.NC, atmos.Apr, "HM2")
-		res, err := RunMPPT(cfg, sched.OptTPR{})
+		res, err := Run(cfg, optTPR)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +176,7 @@ func TestSyntheticMixThroughEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Day: testDay(t, atmos.CO, atmos.Jul), Mix: m, StepMin: 2}
-	res, err := RunMPPT(cfg, sched.OptTPR{})
+	res, err := Run(cfg, optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}

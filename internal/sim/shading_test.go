@@ -5,7 +5,6 @@ import (
 
 	"solarcore/internal/atmos"
 	"solarcore/internal/pv"
-	"solarcore/internal/sched"
 	"solarcore/internal/thermal"
 )
 
@@ -40,13 +39,13 @@ func TestScanOnTrackRecoversShadedEnergy(t *testing.T) {
 	day := shadedDay(t)
 	base := Config{Day: day, Mix: mix(t, "M1"), StepMin: 2}
 
-	plain, err := RunMPPT(base, sched.OptTPR{})
+	plain, err := Run(base, optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}
 	scan := base
 	scan.ScanPoints = 24
-	scanned, err := RunMPPT(scan, sched.OptTPR{})
+	scanned, err := Run(scan, optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +62,12 @@ func TestScanOnTrackRecoversShadedEnergy(t *testing.T) {
 
 func TestScanHarmlessOnUniformPanel(t *testing.T) {
 	cfg := cfgFor(t, atmos.AZ, atmos.Jan, "M1")
-	plain, err := RunMPPT(cfg, sched.OptTPR{})
+	plain, err := Run(cfg, optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.ScanPoints = 24
-	scanned, err := RunMPPT(cfg, sched.OptTPR{})
+	scanned, err := Run(cfg, optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +90,7 @@ func TestThermalThrottlingInEngine(t *testing.T) {
 	// A strict 72 °C trip point on a Phoenix July afternoon forces
 	// throttling; the unconstrained run commits more work.
 	cfg := cfgFor(t, atmos.AZ, atmos.Jul, "H1")
-	free, err := RunMPPT(cfg, sched.OptTPR{})
+	free, err := Run(cfg, optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +98,7 @@ func TestThermalThrottlingInEngine(t *testing.T) {
 	tc.TMaxC = 72
 	tc.THystC = 6
 	cfg.Thermal = &tc
-	hot, err := RunMPPT(cfg, sched.OptTPR{})
+	hot, err := Run(cfg, optTPR)
 	if err != nil {
 		t.Fatal(err)
 	}

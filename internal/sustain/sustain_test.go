@@ -7,7 +7,6 @@ import (
 
 	"solarcore/internal/atmos"
 	"solarcore/internal/pv"
-	"solarcore/internal/sched"
 	"solarcore/internal/sim"
 	"solarcore/internal/workload"
 )
@@ -72,11 +71,11 @@ func TestEndToEndCarbonReduction(t *testing.T) {
 		t.Fatal(err)
 	}
 	mix, _ := workload.MixByName("M2")
-	res, err := sim.RunMPPT(sim.Config{Day: day, Mix: mix, StepMin: 2}, sched.OptTPR{})
+	res, err := sim.Run(sim.Config{Day: day, Mix: mix, StepMin: 2}, sim.MPPT("MPPT&Opt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	im := Assess(res, ProfileFor("AZ"))
+	im := Assess(&res.DayResult, ProfileFor("AZ"))
 	if im.CarbonReduction() < 0.8 {
 		t.Errorf("carbon reduction %.2f on a clear AZ day, want ≥ 0.8", im.CarbonReduction())
 	}

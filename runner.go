@@ -21,9 +21,8 @@ import (
 )
 
 // ErrUnknownPolicy reports a policy name outside the Table 6 set. Every
-// name-resolving entry point (NewRunner, NewController and the deprecated
-// Run/RunSeries wrappers) wraps it, so callers can test with
-// errors.Is(err, ErrUnknownPolicy).
+// name-resolving entry point (NewRunner, NewController, RunSpec.Validate)
+// wraps it, so callers can test with errors.Is(err, ErrUnknownPolicy).
 var ErrUnknownPolicy = errors.New("unknown policy")
 
 // allocByName resolves a Table 6 policy name to a fresh allocator;
@@ -76,34 +75,9 @@ func MergeMetrics(snaps ...MetricsSnapshot) MetricsSnapshot { return obs.MergeSn
 // discarded. Useful for exercising the full hook path in benchmarks.
 func NopObserver() Observer { return obs.Nop{} }
 
-// runMode selects which engine entry point a Runner drives.
-type runMode int
-
-const (
-	modePolicy  runMode = iota // MPPT tracking under a Table 6 policy
-	modeFixed                  // non-tracking fixed-budget baseline
-	modeBattery                // idealized battery-system baseline
-	modeBank                   // stateful battery-bank standalone system
-)
-
-func (m runMode) String() string {
-	switch m {
-	case modePolicy:
-		return "WithPolicy"
-	case modeFixed:
-		return "WithFixedBudget"
-	case modeBattery:
-		return "WithBattery"
-	case modeBank:
-		return "WithBank"
-	}
-	return fmt.Sprintf("runMode(%d)", int(m))
-}
-
 // Runner is the unified simulation entry point: one Config plus
-// functional options replaces the historical Run / RunFixedPower /
-// RunBattery / RunBatteryBank / RunSeries quintet (all still available
-// as deprecated wrappers delegating here).
+// functional options selects the supply and wires observers, faults and
+// cancellation.
 //
 //	r, err := solarcore.NewRunner(solarcore.Config{Day: day, Mix: mix},
 //	        solarcore.WithPolicy(solarcore.PolicyOpt),
@@ -111,23 +85,19 @@ func (m runMode) String() string {
 //	        solarcore.WithContext(ctx))
 //	res, err := r.Run()
 //
-// Exactly one mode option (WithPolicy, WithFixedBudget, WithBattery,
+// Exactly one supply option (WithPolicy, WithFixedBudget, WithBattery,
 // WithBank) may be given; none defaults to WithPolicy(PolicyOpt), the
 // paper's headline configuration. A Runner is immutable after NewRunner
-// and may be reused: every Run/RunSeries call simulates fresh state
-// (except the battery bank, which deliberately persists across runs to
-// model multi-day wear).
+// and may be reused and shared: every Run/RunSeries call builds fresh
+// per-run state (except the battery bank, which deliberately persists
+// across runs to model multi-day wear).
 type Runner struct {
-	cfg  Config
-	mode runMode
-	// modes records every mode option applied, for conflict reporting.
-	modes []runMode
-
-	policy     string
-	budgetW    float64
-	batteryEff float64
-	bank       *Bank
-	bankEff    float64
+	cfg    Config
+	supply sim.Supply
+	// modes names every supply option applied, for conflict reporting;
+	// err is WithPolicy's verdict on its policy name.
+	modes []string
+	err   error
 
 	ctx       context.Context
 	observers []Observer
@@ -136,46 +106,48 @@ type Runner struct {
 // RunnerOption configures a Runner at construction.
 type RunnerOption func(*Runner)
 
+// withSupply records a supply option.
+func withSupply(mode string, s sim.Supply) RunnerOption {
+	return func(r *Runner) {
+		r.modes = append(r.modes, mode)
+		r.supply = s
+	}
+}
+
+// mode names the Runner's supply option.
+func (r *Runner) mode() string {
+	if len(r.modes) == 0 {
+		return "WithPolicy"
+	}
+	return r.modes[0]
+}
+
 // WithPolicy selects an MPPT tracking run under a Table 6 policy name
 // (PolicyIC, PolicyRR or PolicyOpt).
 func WithPolicy(policy string) RunnerOption {
 	return func(r *Runner) {
-		r.mode = modePolicy
-		r.modes = append(r.modes, modePolicy)
-		r.policy = policy
+		withSupply("WithPolicy", sim.MPPT(policy))(r)
+		_, r.err = allocByName(policy)
 	}
 }
 
 // WithFixedBudget selects the non-tracking Fixed-Power baseline at the
 // given constant budget in watts.
 func WithFixedBudget(budgetW float64) RunnerOption {
-	return func(r *Runner) {
-		r.mode = modeFixed
-		r.modes = append(r.modes, modeFixed)
-		r.budgetW = budgetW
-	}
+	return withSupply("WithFixedBudget", sim.Fixed(budgetW))
 }
 
 // WithBattery selects the idealized battery-equipped baseline at the
 // given overall conversion efficiency (e.g. BatteryUpperEff).
 func WithBattery(eff float64) RunnerOption {
-	return func(r *Runner) {
-		r.mode = modeBattery
-		r.modes = append(r.modes, modeBattery)
-		r.batteryEff = eff
-	}
+	return withSupply("WithBattery", sim.Battery(eff))
 }
 
 // WithBank selects the realistic battery-bank standalone system: the
 // bank persists across runs (rate limits, losses, self-discharge and
 // cycling wear accumulate), harvesting trackingEff of the panel MPP.
 func WithBank(bank *Bank, trackingEff float64) RunnerOption {
-	return func(r *Runner) {
-		r.mode = modeBank
-		r.modes = append(r.modes, modeBank)
-		r.bank = bank
-		r.bankEff = trackingEff
-	}
+	return withSupply("WithBank", sim.Bank(bank, trackingEff))
 }
 
 // WithObserver attaches an observer to the run's lifecycle hooks. The
@@ -202,23 +174,20 @@ func WithContext(ctx context.Context) RunnerOption {
 	return func(r *Runner) { r.ctx = ctx }
 }
 
-// NewRunner builds a Runner over cfg. It fails fast on conflicting mode
+// NewRunner builds a Runner over cfg. It fails fast on conflicting supply
 // options and on an unknown policy name (errors.Is ErrUnknownPolicy);
 // value validation (budget sign, efficiency range, nil bank) stays with
-// the engine so Runner calls report identical errors to the deprecated
-// wrappers.
+// the engine and surfaces from Run.
 func NewRunner(cfg Config, opts ...RunnerOption) (*Runner, error) {
-	r := &Runner{cfg: cfg, mode: modePolicy, policy: PolicyOpt}
+	r := &Runner{cfg: cfg, supply: sim.MPPT(PolicyOpt)}
 	for _, opt := range opts {
 		opt(r)
 	}
 	if len(r.modes) > 1 {
 		return nil, fmt.Errorf("solarcore: conflicting runner modes %v (give at most one)", r.modes)
 	}
-	if r.mode == modePolicy {
-		if _, err := allocByName(r.policy); err != nil {
-			return nil, err
-		}
+	if r.err != nil {
+		return nil, r.err
 	}
 	return r, nil
 }
@@ -237,36 +206,23 @@ func (r *Runner) runConfig() Config {
 	return cfg
 }
 
-// Run simulates one day in the Runner's mode. In bank mode it returns
-// the embedded DayResult; use RunBank for the bank diagnostics.
+// Run simulates one day under the Runner's supply. In bank mode it
+// returns the embedded DayResult; use RunBank for the bank diagnostics.
 func (r *Runner) Run() (*DayResult, error) {
-	cfg := r.runConfig()
-	switch r.mode {
-	case modeFixed:
-		return sim.RunFixed(cfg, r.budgetW)
-	case modeBattery:
-		return sim.RunBattery(cfg, r.batteryEff)
-	case modeBank:
-		res, err := sim.RunBatteryBank(cfg, r.bank, r.bankEff)
-		if err != nil {
-			return nil, err
-		}
-		return &res.DayResult, nil
-	}
-	alloc, err := allocByName(r.policy)
+	res, err := sim.Run(r.runConfig(), r.supply)
 	if err != nil {
 		return nil, err
 	}
-	return sim.RunMPPT(cfg, alloc)
+	return &res.DayResult, nil
 }
 
 // RunBank simulates one day against the persistent battery bank and
 // returns its full diagnostics. It requires WithBank mode.
 func (r *Runner) RunBank() (*BankDayResult, error) {
-	if r.mode != modeBank {
-		return nil, fmt.Errorf("solarcore: RunBank needs a WithBank runner (mode is %v)", r.mode)
+	if r.mode() != "WithBank" {
+		return nil, fmt.Errorf("solarcore: RunBank needs a WithBank runner (mode is %v)", r.mode())
 	}
-	return sim.RunBatteryBank(r.runConfig(), r.bank, r.bankEff)
+	return sim.Run(r.runConfig(), r.supply)
 }
 
 // RunSpec is a fully serializable description of one simulated day: the
@@ -480,16 +436,11 @@ func (s RunSpec) Run(ctx context.Context, opts ...RunnerOption) (*DayResult, err
 }
 
 // RunSeries simulates consecutive days under the Runner's MPPT policy,
-// overriding the base config's Day per day; the allocator state persists
-// across days as a deployed controller's would. It requires WithPolicy
-// mode (the baselines have no meaningful multi-day tracking state).
+// overriding the base config's Day per day. It requires WithPolicy mode
+// (the baselines have no meaningful multi-day tracking state).
 func (r *Runner) RunSeries(days []*SolarDay) (*SeriesResult, error) {
-	if r.mode != modePolicy {
-		return nil, fmt.Errorf("solarcore: RunSeries needs a WithPolicy runner (mode is %v)", r.mode)
+	if r.mode() != "WithPolicy" {
+		return nil, fmt.Errorf("solarcore: RunSeries needs a WithPolicy runner (mode is %v)", r.mode())
 	}
-	alloc, err := allocByName(r.policy)
-	if err != nil {
-		return nil, err
-	}
-	return sim.RunMPPTSeries(r.runConfig(), alloc, days)
+	return sim.RunSeries(r.runConfig(), r.supply, days)
 }

@@ -26,115 +26,22 @@ func testDay(t *testing.T) (*solarcore.SolarDay, solarcore.Mix) {
 	return day, mix
 }
 
-// TestRunnerFacadeCompat pins the deprecated wrappers to the Runner: each
-// historical entry point and its Runner equivalent must produce identical
-// results from identical inputs.
-func TestRunnerFacadeCompat(t *testing.T) {
+// TestRunnerDefaultPolicy pins the Runner's default supply: no supply
+// option means WithPolicy(PolicyOpt), the paper's headline configuration.
+func TestRunnerDefaultPolicy(t *testing.T) {
 	day, mix := testDay(t)
-	cfg := solarcore.Config{Day: day, Mix: mix, StepMin: 2, KeepSeries: true}
-
-	run := func(opt solarcore.RunnerOption) *solarcore.DayResult {
-		r, err := solarcore.NewRunner(cfg, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	cfg := solarcore.Config{Day: day, Mix: mix, StepMin: 2}
+	want, err := runDay(cfg, solarcore.WithPolicy(solarcore.PolicyOpt))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	t.Run("Run", func(t *testing.T) {
-		want, err := solarcore.Run(cfg, solarcore.PolicyRR)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := run(solarcore.WithPolicy(solarcore.PolicyRR)); !reflect.DeepEqual(got, want) {
-			t.Errorf("Runner diverges from Run:\n got %+v\nwant %+v", got, want)
-		}
-	})
-	t.Run("DefaultMode", func(t *testing.T) {
-		// No mode option means the paper's headline policy.
-		want, err := solarcore.Run(cfg, solarcore.PolicyOpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := solarcore.NewRunner(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Error("default-mode Runner diverges from Run(PolicyOpt)")
-		}
-	})
-	t.Run("RunFixedPower", func(t *testing.T) {
-		want, err := solarcore.RunFixedPower(cfg, 75)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := run(solarcore.WithFixedBudget(75)); !reflect.DeepEqual(got, want) {
-			t.Error("Runner diverges from RunFixedPower")
-		}
-	})
-	t.Run("RunBattery", func(t *testing.T) {
-		want, err := solarcore.RunBattery(cfg, solarcore.BatteryUpperEff)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := run(solarcore.WithBattery(solarcore.BatteryUpperEff)); !reflect.DeepEqual(got, want) {
-			t.Error("Runner diverges from RunBattery")
-		}
-	})
-	t.Run("RunBatteryBank", func(t *testing.T) {
-		// The bank is stateful, so each side gets a fresh one from the
-		// same spec.
-		bankA, err := solarcore.NewBank(solarcore.LeadAcidBank(900))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := solarcore.RunBatteryBank(cfg, bankA, 0.95)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bankB, err := solarcore.NewBank(solarcore.LeadAcidBank(900))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := solarcore.NewRunner(cfg, solarcore.WithBank(bankB, 0.95))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := r.RunBank()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Error("Runner diverges from RunBatteryBank")
-		}
-	})
-	t.Run("RunSeries", func(t *testing.T) {
-		days := []*solarcore.SolarDay{day, day}
-		want, err := solarcore.RunSeries(cfg, solarcore.PolicyIC, days)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := solarcore.NewRunner(cfg, solarcore.WithPolicy(solarcore.PolicyIC))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := r.RunSeries(days)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Error("Runner diverges from RunSeries")
-		}
-	})
+	got, err := runDay(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("default-mode Runner diverges from WithPolicy(PolicyOpt)")
+	}
 }
 
 // TestErrUnknownPolicy checks that every name-resolving entry point wraps
@@ -148,11 +55,8 @@ func TestErrUnknownPolicy(t *testing.T) {
 	} else if want := `solarcore: unknown policy "MPPT&Magic"`; !strings.Contains(err.Error(), want) {
 		t.Errorf("NewRunner error %q does not contain %q", err, want)
 	}
-	if _, err := solarcore.Run(cfg, "MPPT&Magic"); !errors.Is(err, solarcore.ErrUnknownPolicy) {
-		t.Errorf("Run: %v", err)
-	}
-	if _, err := solarcore.RunSeries(cfg, "MPPT&Magic", []*solarcore.SolarDay{day}); !errors.Is(err, solarcore.ErrUnknownPolicy) {
-		t.Errorf("RunSeries: %v", err)
+	if _, err := (solarcore.RunSpec{Policy: "MPPT&Magic"}).Runner(); !errors.Is(err, solarcore.ErrUnknownPolicy) {
+		t.Errorf("RunSpec.Runner: %v", err)
 	}
 	circuit := power.NewCircuit(solarcore.NewModule(solarcore.BP3180N()))
 	chip, err := solarcore.NewChip(solarcore.DefaultChip())
@@ -310,7 +214,7 @@ func TestRunnerWithFaults(t *testing.T) {
 	day, mix := testDay(t)
 	cfg := solarcore.Config{Day: day, Mix: mix, StepMin: 2}
 
-	clean, err := solarcore.Run(cfg, solarcore.PolicyOpt)
+	clean, err := runDay(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,6 +250,47 @@ func TestRunnerWithFaults(t *testing.T) {
 	}
 	if reflect.DeepEqual(faulted, clean) {
 		t.Error("armed schedule did not perturb the run")
+	}
+}
+
+// TestRunnerBankHonorsFaults checks that a bank day routes through the
+// shared fault hook: a midday cloud burst is reported and cuts the
+// energy the bank system delivers.
+func TestRunnerBankHonorsFaults(t *testing.T) {
+	trace := solarcore.GenerateWeather(solarcore.AZ, solarcore.Jul, 0)
+	day, err := solarcore.NewDay(trace, solarcore.BP3180N(), 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix, err := solarcore.MixByName("HM2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloud, err := solarcore.ParseFaults("cloud:t0=600,t1=720,i=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(opts ...solarcore.RunnerOption) *solarcore.BankDayResult {
+		bank, err := solarcore.NewBank(solarcore.LeadAcidBank(400))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := solarcore.NewRunner(solarcore.Config{Day: day, Mix: mix}, append(opts, solarcore.WithBank(bank, 0.95))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.RunBank()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	clean, faulted := run(), run(solarcore.WithFaults(cloud))
+	if faulted.Faults.Injected == 0 {
+		t.Errorf("bank run reported no injected faults: %+v", faulted.Faults)
+	}
+	if faulted.SolarWh >= clean.SolarWh {
+		t.Errorf("cloudy bank day delivered %.1f Wh, clean day %.1f Wh", faulted.SolarWh, clean.SolarWh)
 	}
 }
 

@@ -2,8 +2,9 @@
 # Performance snapshot: writes BENCH_<yyyymmdd>.json at the repo root
 # with the three numbers the roadmap tracks release over release:
 #
-#   sim_ns_per_day      — BenchmarkRunMPPT (one full simulated day,
-#                         8-minute steps) from bench_test.go
+#   sim_ns_per_day      — BenchmarkRunMPPT (one full simulated day on a
+#                         prebuilt SolarDay, 1-minute steps) from
+#                         bench_test.go
 #   served_req_per_sec  — solarload sustained rate on the cached path
 #                         against a real solard on an ephemeral port
 #   uncached_req_per_sec — the same harness with -distinct equal to the

@@ -344,60 +344,10 @@ func NewFaultSchedule(seed int64, injectors ...FaultInjector) *FaultSchedule {
 // SeriesResult aggregates a multi-day deployment.
 type SeriesResult = sim.SeriesResult
 
-// RunSeries simulates consecutive days under one MPPT policy; the base
-// config's Day field is overridden per day.
-//
-// Deprecated: use NewRunner with WithPolicy and Runner.RunSeries, which
-// additionally supports observers and context cancellation.
-func RunSeries(base Config, policy string, days []*SolarDay) (*SeriesResult, error) {
-	r, err := NewRunner(base, WithPolicy(policy))
-	if err != nil {
-		return nil, err
-	}
-	return r.RunSeries(days)
-}
-
 // NewDay binds a weather trace to a series×parallel array of the given
 // module, precomputing its maximum-power-point profile.
 func NewDay(tr *Trace, params ModuleParams, series, parallel int) (*SolarDay, error) {
 	return sim.NewSolarDay(tr, params, series, parallel)
-}
-
-// Run simulates one day under SolarCore management with a Table 6 policy
-// name (PolicyIC, PolicyRR or PolicyOpt).
-//
-// Deprecated: use NewRunner with WithPolicy and Runner.Run, which
-// additionally supports observers and context cancellation.
-func Run(cfg Config, policy string) (*DayResult, error) {
-	r, err := NewRunner(cfg, WithPolicy(policy))
-	if err != nil {
-		return nil, err
-	}
-	return r.Run()
-}
-
-// RunFixedPower simulates one day under the non-tracking fixed-budget
-// baseline.
-//
-// Deprecated: use NewRunner with WithFixedBudget and Runner.Run.
-func RunFixedPower(cfg Config, budgetW float64) (*DayResult, error) {
-	r, err := NewRunner(cfg, WithFixedBudget(budgetW))
-	if err != nil {
-		return nil, err
-	}
-	return r.Run()
-}
-
-// RunBattery simulates one day of the battery-equipped baseline at the
-// given overall conversion efficiency (e.g. BatteryUpperEff).
-//
-// Deprecated: use NewRunner with WithBattery and Runner.Run.
-func RunBattery(cfg Config, eff float64) (*DayResult, error) {
-	r, err := NewRunner(cfg, WithBattery(eff))
-	if err != nil {
-		return nil, err
-	}
-	return r.Run()
 }
 
 // BankDayResult extends DayResult with battery-bank diagnostics.
@@ -408,16 +358,3 @@ func LeadAcidBank(capacityWh float64) BankConfig { return power.LeadAcidBank(cap
 
 // NewBank builds a stateful battery bank.
 func NewBank(cfg BankConfig) (*Bank, error) { return power.NewBank(cfg) }
-
-// RunBatteryBank simulates one day of a realistic battery-equipped
-// standalone system against a persistent bank, exposing rate limits,
-// conversion losses, self-discharge and cycling wear.
-//
-// Deprecated: use NewRunner with WithBank and Runner.RunBank.
-func RunBatteryBank(cfg Config, bank *Bank, trackingEff float64) (*BankDayResult, error) {
-	r, err := NewRunner(cfg, WithBank(bank, trackingEff))
-	if err != nil {
-		return nil, err
-	}
-	return r.RunBank()
-}

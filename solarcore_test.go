@@ -10,6 +10,24 @@ import (
 	"solarcore/internal/pv"
 )
 
+// runDay builds a Runner over cfg with opts and simulates its day.
+func runDay(cfg solarcore.Config, opts ...solarcore.RunnerOption) (*solarcore.DayResult, error) {
+	r, err := solarcore.NewRunner(cfg, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return r.Run()
+}
+
+// runSeries simulates days under one MPPT policy through a Runner.
+func runSeries(cfg solarcore.Config, policy string, days []*solarcore.SolarDay) (*solarcore.SeriesResult, error) {
+	r, err := solarcore.NewRunner(cfg, solarcore.WithPolicy(policy))
+	if err != nil {
+		return nil, err
+	}
+	return r.RunSeries(days)
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	// The README quick-start, end to end through the public API only.
 	trace := solarcore.GenerateWeather(solarcore.AZ, solarcore.Jul, 0)
@@ -21,7 +39,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := solarcore.Run(solarcore.Config{Day: day, Mix: mix, StepMin: 2}, solarcore.PolicyOpt)
+	res, err := runDay(solarcore.Config{Day: day, Mix: mix, StepMin: 2}, solarcore.WithPolicy(solarcore.PolicyOpt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +55,7 @@ func TestRunUnknownPolicy(t *testing.T) {
 	trace := solarcore.GenerateWeather(solarcore.AZ, solarcore.Jan, 0)
 	day, _ := solarcore.NewDay(trace, solarcore.BP3180N(), 1, 1)
 	mix, _ := solarcore.MixByName("H1")
-	if _, err := solarcore.Run(solarcore.Config{Day: day, Mix: mix}, "MPPT&Magic"); err == nil {
+	if _, err := runDay(solarcore.Config{Day: day, Mix: mix}, solarcore.WithPolicy("MPPT&Magic")); err == nil {
 		t.Error("unknown policy should error")
 	}
 }
@@ -93,10 +111,10 @@ func TestBaselineFacades(t *testing.T) {
 	day, _ := solarcore.NewDay(trace, solarcore.BP3180N(), 1, 1)
 	mix, _ := solarcore.MixByName("M1")
 	cfg := solarcore.Config{Day: day, Mix: mix, StepMin: 2}
-	if _, err := solarcore.RunFixedPower(cfg, 75); err != nil {
+	if _, err := runDay(cfg, solarcore.WithFixedBudget(75)); err != nil {
 		t.Errorf("fixed: %v", err)
 	}
-	if _, err := solarcore.RunBattery(cfg, solarcore.BatteryUpperEff); err != nil {
+	if _, err := runDay(cfg, solarcore.WithBattery(solarcore.BatteryUpperEff)); err != nil {
 		t.Errorf("battery: %v", err)
 	}
 	if len(solarcore.BatteryGrades) != 3 {
@@ -142,9 +160,9 @@ func TestExtendedFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc := solarcore.DefaultThermal()
-	res, err := solarcore.Run(solarcore.Config{
+	res, err := runDay(solarcore.Config{
 		Day: day, Mix: mix, StepMin: 2, ScanPoints: 16, Thermal: &tc,
-	}, solarcore.PolicyOpt)
+	}, solarcore.WithPolicy(solarcore.PolicyOpt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,14 +202,14 @@ func TestSeriesAndBankFacade(t *testing.T) {
 		days = append(days, d)
 	}
 	mix, _ := solarcore.MixByName("M1")
-	sr, err := solarcore.RunSeries(solarcore.Config{Mix: mix, StepMin: 2}, solarcore.PolicyOpt, days)
+	sr, err := runSeries(solarcore.Config{Mix: mix, StepMin: 2}, solarcore.PolicyOpt, days)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sr.TotalPTP() <= 0 || len(sr.Days) != 2 {
 		t.Errorf("series: %+v", sr)
 	}
-	if _, err := solarcore.RunSeries(solarcore.Config{Mix: mix}, "nope", days); err == nil {
+	if _, err := runSeries(solarcore.Config{Mix: mix}, "nope", days); err == nil {
 		t.Error("unknown policy should error")
 	}
 
@@ -199,7 +217,11 @@ func TestSeriesAndBankFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := solarcore.RunBatteryBank(solarcore.Config{Day: days[0], Mix: mix, StepMin: 2}, bank, 0.95)
+	r, err := solarcore.NewRunner(solarcore.Config{Day: days[0], Mix: mix, StepMin: 2}, solarcore.WithBank(bank, 0.95))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.RunBank()
 	if err != nil {
 		t.Fatal(err)
 	}
