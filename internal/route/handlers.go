@@ -2,92 +2,21 @@ package route
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
-	"sync"
 
 	"solarcore/client"
+	"solarcore/internal/edge"
 	"solarcore/internal/obs"
 )
-
-// statusRecorder captures status and body size for metrics and the
-// access log (same shape as internal/serve's — each server owns its
-// middleware; only the wire contract is shared).
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	bytes  int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	if r.status == 0 {
-		r.status = code
-	}
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(p []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	n, err := r.ResponseWriter.Write(p)
-	r.bytes += n
-	return n, err
-}
-
-// Unwrap exposes the underlying writer so http.ResponseController can
-// reach Flush through the recorder (the stream relay flushes per event).
-func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 // countPanic records one contained panic (single registration site for
 // the counter).
 func (rt *Router) countPanic() {
 	rt.reg.Add(MetricPanics, 1)
-}
-
-// instrument wraps a handler with request counting, panic containment
-// and the access log.
-func (rt *Router) instrument(route string, h http.HandlerFunc) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w}
-		start := rt.cfg.Clock()
-		defer func() {
-			if p := recover(); p != nil {
-				rt.countPanic()
-				if rec.status == 0 {
-					client.WriteError(rec, http.StatusInternalServerError, client.CodeInternal, "internal error")
-				}
-			}
-			rt.reg.Add(MetricRequests, 1)
-			if rt.cfg.AccessLog != nil {
-				status := rec.status
-				if status == 0 {
-					status = http.StatusOK
-				}
-				rt.cfg.AccessLog.OnAccess(obs.AccessEvent{
-					Method: r.Method,
-					Path:   r.URL.Path,
-					Status: status,
-					DurMs:  rt.cfg.Clock().Sub(start).Seconds() * 1000,
-					Bytes:  rec.bytes,
-					Cache:  rec.Header().Get(client.HeaderCache),
-					Remote: r.RemoteAddr,
-				})
-			}
-		}()
-		h(rec, r)
-	})
-}
-
-// writeJSON writes v with the given status; a late encode failure
-// cannot reach the client anymore and is dropped deliberately.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // writeFetchError maps a fetchRun failure onto the wire envelope. An
@@ -116,10 +45,15 @@ func (rt *Router) writeFetchError(w http.ResponseWriter, err error) {
 	}
 }
 
-// writeDraining answers the drain rejection shared by the POST routes.
-func writeDraining(w http.ResponseWriter) {
+// refuseDraining answers the drain rejection of the work routes and
+// reports whether it did.
+func (rt *Router) refuseDraining(w http.ResponseWriter) bool {
+	if !rt.draining.Load() {
+		return false
+	}
 	w.Header().Set("Retry-After", "5")
 	client.WriteError(w, http.StatusServiceUnavailable, client.CodeDraining, "router is draining")
+	return true
 }
 
 // handleRun serves POST /v1/run: validate once at the edge, route to
@@ -128,21 +62,12 @@ func writeDraining(w http.ResponseWriter) {
 // cache disposition, X-Gate the route disposition (primary/hedged/
 // retried), X-Gate-Backend the node that answered.
 func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
-	if rt.draining.Load() {
-		writeDraining(w)
+	if rt.refuseDraining(w) {
 		return
 	}
-	var req client.RunRequest
-	if err := client.ReadJSON(w, r, &req); err != nil {
-		client.WriteError(w, http.StatusBadRequest, client.CodeBadRequest, err.Error())
-		return
-	}
-	if err := client.CheckWireVersion(req.V); err != nil {
-		client.WriteError(w, http.StatusBadRequest, client.CodeUnsupportedVersion, err.Error())
-		return
-	}
-	if err := req.Validate(); err != nil {
-		client.WriteError(w, http.StatusBadRequest, client.CodeBadRequest, err.Error())
+	req, rej := edge.DecodeRun(w, r)
+	if rej != nil {
+		rej.Write(w)
 		return
 	}
 	res, disp, backendName, err := rt.fetchRun(r.Context(), req.Hash(), req)
@@ -168,41 +93,14 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 // Per-cell failures are reported in-place so one bad shard never loses
 // the batch.
 func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if rt.draining.Load() {
-		writeDraining(w)
+	if rt.refuseDraining(w) {
 		return
 	}
-	var req client.SweepRequest
-	if err := client.ReadJSON(w, r, &req); err != nil {
-		client.WriteError(w, http.StatusBadRequest, client.CodeBadRequest, err.Error())
+	req, rej := edge.DecodeSweep(w, r, rt.cfg.MaxSweep)
+	if rej != nil {
+		rej.Write(w)
 		return
 	}
-	if err := client.CheckWireVersion(req.V); err != nil {
-		client.WriteError(w, http.StatusBadRequest, client.CodeUnsupportedVersion, err.Error())
-		return
-	}
-	if len(req.Runs) == 0 {
-		client.WriteError(w, http.StatusBadRequest, client.CodeBadRequest, "empty sweep: give at least one run")
-		return
-	}
-	if len(req.Runs) > rt.cfg.MaxSweep {
-		client.WriteError(w, http.StatusBadRequest, client.CodeBadRequest,
-			fmt.Sprintf("sweep of %d runs exceeds the limit of %d", len(req.Runs), rt.cfg.MaxSweep))
-		return
-	}
-	for i, item := range req.Runs {
-		if err := client.CheckWireVersion(item.V); err != nil {
-			client.WriteError(w, http.StatusBadRequest, client.CodeUnsupportedVersion,
-				fmt.Sprintf("runs[%d]: %v", i, err))
-			return
-		}
-		if err := item.Validate(); err != nil {
-			client.WriteError(w, http.StatusBadRequest, client.CodeBadRequest,
-				fmt.Sprintf("runs[%d]: %v", i, err))
-			return
-		}
-	}
-
 	ctx := r.Context()
 	items := make([]client.SweepItem, len(req.Runs))
 	// Durable sweeps: restore cells a previous (crashed) attempt already
@@ -213,56 +111,21 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if rt.cfg.CheckpointDir != "" {
 		ck = rt.openCheckpoint(sweepID(req.Runs), items, done)
 	}
-	workers := rt.cfg.SweepWorkers
-	if workers > len(req.Runs) {
-		workers = len(req.Runs)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if done[i] {
-					continue
-				}
-				items[i] = rt.sweepCell(ctx, req.Runs[i])
-				if items[i].Error == "" {
-					ck.record(i, items[i])
-				}
-			}
-		}()
-	}
-	// Feed under the request context so a vanished client cannot wedge
-	// the loop on a bare send; unfed cells report the context error.
-	fed := len(req.Runs)
-feed:
-	for i := range req.Runs {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			fed = i
-			break feed
+	edge.Sweep(ctx, req.Runs, items, rt.cfg.SweepWorkers, func(i int) {
+		if done[i] {
+			return
 		}
-	}
-	close(next)
-	wg.Wait()
-	for i := fed; i < len(items); i++ {
-		items[i].Hash = req.Runs[i].Hash()
-		items[i].Error = fmt.Errorf("sweep canceled: %w", ctx.Err()).Error()
-	}
+		items[i] = rt.sweepCell(ctx, req.Runs[i])
+		if items[i].Error == "" {
+			ck.record(i, items[i])
+		}
+	})
 	if ck != nil {
-		complete := fed == len(req.Runs)
-		for _, it := range items {
-			if it.Error != "" {
-				complete = false
-				break
-			}
-		}
-		ck.finish(complete)
+		// Cells the feed never started carry the cancellation error, so
+		// an error-free batch is exactly a complete one.
+		ck.finish(!slices.ContainsFunc(items, func(it client.SweepItem) bool { return it.Error != "" }))
 	}
-	writeJSON(w, http.StatusOK, client.SweepResponse{Results: items})
+	edge.WriteJSON(w, http.StatusOK, client.SweepResponse{Results: items})
 }
 
 // sweepCell routes one sweep cell as a per-cell run, containing a
@@ -294,7 +157,7 @@ func (rt *Router) handlePolicies(w http.ResponseWriter, r *http.Request) {
 	for _, b := range rt.healthyBackends() {
 		pols, err := b.cli.Policies(r.Context())
 		if err == nil {
-			writeJSON(w, http.StatusOK, client.PoliciesResponse{Policies: pols})
+			edge.WriteJSON(w, http.StatusOK, client.PoliciesResponse{Policies: pols})
 			return
 		}
 		lastErr = err
@@ -332,12 +195,12 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	switch {
 	case rt.draining.Load():
 		w.Header().Set("Retry-After", "5")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		edge.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 	case rt.Healthy() == 0:
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no healthy backends"})
+		edge.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no healthy backends"})
 	default:
-		writeJSON(w, http.StatusOK, map[string]any{
+		edge.WriteJSON(w, http.StatusOK, map[string]any{
 			"status":   "ok",
 			"backends": rt.Healthy(),
 		})

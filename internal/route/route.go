@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"solarcore/client"
+	"solarcore/internal/edge"
 	"solarcore/internal/obs"
 )
 
@@ -271,13 +272,15 @@ func New(cfg Config) (*Router, error) {
 	rt.ring = buildRing(names, cfg.VNodes)
 	rt.setHealthyGauge()
 
+	mw := edge.Meter{Registry: rt.reg, Requests: MetricRequests, CountPanic: rt.countPanic,
+		AccessLog: cfg.AccessLog, Clock: cfg.Clock}
 	rt.mux = http.NewServeMux()
-	rt.mux.Handle("POST /v1/run", rt.instrument("/v1/run", rt.handleRun))
-	rt.mux.Handle("POST /v1/sweep", rt.instrument("/v1/sweep", rt.handleSweep))
-	rt.mux.Handle("GET /v1/stream", rt.instrument("/v1/stream", rt.handleStream))
-	rt.mux.Handle("GET /v1/policies", rt.instrument("/v1/policies", rt.handlePolicies))
-	rt.mux.Handle("GET /metrics", rt.instrument("/metrics", rt.handleMetrics))
-	rt.mux.Handle("GET /healthz", rt.instrument("/healthz", rt.handleHealthz))
+	rt.mux.Handle("POST /v1/run", mw.Instrument(rt.handleRun))
+	rt.mux.Handle("POST /v1/sweep", mw.Instrument(rt.handleSweep))
+	rt.mux.Handle("GET /v1/stream", mw.Instrument(rt.handleStream))
+	rt.mux.Handle("GET /v1/policies", mw.Instrument(rt.handlePolicies))
+	rt.mux.Handle("GET /metrics", mw.Instrument(rt.handleMetrics))
+	rt.mux.Handle("GET /healthz", mw.Instrument(rt.handleHealthz))
 	return rt, nil
 }
 

@@ -5,10 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
+	"strconv"
 
 	"solarcore"
 	"solarcore/client"
+	"solarcore/internal/edge"
 )
 
 // The wire contract — request/response types, the error envelope, the
@@ -16,54 +17,79 @@ import (
 // the fleet router and every consumer; this package only implements the
 // server side of it.
 
-// writeRunError maps a Result failure to its HTTP status and envelope
-// code: backpressure and drain shed load retryably (429/503 +
-// Retry-After), a blown run deadline is 504, and anything else is a
-// plain 500.
-func (s *Server) writeRunError(w http.ResponseWriter, err error) {
+// headerCache is the response header simulation handlers set to report
+// the cache disposition; the middleware copies it into the access log.
+// The name itself belongs to the wire contract package.
+const headerCache = client.HeaderCache
+
+// countPanic records one contained panic. Both recover sites — the
+// edge middleware and the sweep workers' per-item recover — go through
+// this helper so the counter keeps a single registration site
+// (solarvet metricname rule).
+func (s *Server) countPanic() {
+	s.reg.Add(MetricPanics, 1)
+}
+
+// runErrorClass maps a Result failure to its HTTP status, envelope code
+// and retry hint: backpressure and drain shed load retryably (429/503),
+// a blown run deadline is 504, and anything else is a plain 500. The
+// /v1/run error response and the /v1/stream terminal frame share it.
+func runErrorClass(err error) (status int, code string, retryMs int64) {
 	switch {
 	case errors.Is(err, ErrOverloaded):
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusTooManyRequests, client.CodeOverloaded, err.Error())
+		return http.StatusTooManyRequests, client.CodeOverloaded, 1000
 	case errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After", "5")
-		s.writeError(w, http.StatusServiceUnavailable, client.CodeDraining, err.Error())
+		return http.StatusServiceUnavailable, client.CodeDraining, 5000
 	case errors.Is(err, solarcore.ErrUnknownPolicy):
-		s.writeError(w, http.StatusBadRequest, client.CodeBadRequest, err.Error())
+		return http.StatusBadRequest, client.CodeBadRequest, 0
 	case errors.Is(err, context.DeadlineExceeded):
-		s.writeError(w, http.StatusGatewayTimeout, client.CodeDeadline, "run deadline exceeded: "+err.Error())
+		return http.StatusGatewayTimeout, client.CodeDeadline, 0
 	case errors.Is(err, context.Canceled):
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusServiceUnavailable, client.CodeCanceled, err.Error())
+		return http.StatusServiceUnavailable, client.CodeCanceled, 1000
 	default:
-		s.writeError(w, http.StatusInternalServerError, client.CodeInternal, err.Error())
+		return http.StatusInternalServerError, client.CodeInternal, 0
 	}
+}
+
+// writeRunError answers a Result failure with its runErrorClass status,
+// mirroring the retry hint into Retry-After.
+func writeRunError(w http.ResponseWriter, err error) {
+	status, code, retryMs := runErrorClass(err)
+	if retryMs > 0 {
+		w.Header().Set("Retry-After", strconv.FormatInt(retryMs/1000, 10))
+	}
+	msg := err.Error()
+	if code == client.CodeDeadline {
+		msg = "run deadline exceeded: " + msg
+	}
+	client.WriteError(w, status, code, msg)
+}
+
+// refuseDraining answers the drain rejection of the work routes and
+// reports whether it did.
+func (s *Server) refuseDraining(w http.ResponseWriter) bool {
+	if !s.draining.Load() {
+		return false
+	}
+	w.Header().Set("Retry-After", "5")
+	client.WriteError(w, http.StatusServiceUnavailable, client.CodeDraining, ErrDraining.Error())
+	return true
 }
 
 // handleRun serves POST /v1/run: one spec in, one DayResult out, through
 // cache, coalescer and the bounded pool.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", "5")
-		s.writeError(w, http.StatusServiceUnavailable, client.CodeDraining, ErrDraining.Error())
+	if s.refuseDraining(w) {
 		return
 	}
-	var req client.RunRequest
-	if err := client.ReadJSON(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, client.CodeBadRequest, err.Error())
-		return
-	}
-	if err := client.CheckWireVersion(req.V); err != nil {
-		s.writeError(w, http.StatusBadRequest, client.CodeUnsupportedVersion, err.Error())
-		return
-	}
-	if err := req.Validate(); err != nil {
-		s.writeError(w, http.StatusBadRequest, client.CodeBadRequest, err.Error())
+	req, rej := edge.DecodeRun(w, r)
+	if rej != nil {
+		rej.Write(w)
 		return
 	}
 	body, src, err := s.Result(r.Context(), req.RunSpec, req.TimeoutMs)
 	if err != nil {
-		s.writeRunError(w, err)
+		writeRunError(w, err)
 		return
 	}
 	w.Header().Set(headerCache, src)
@@ -80,78 +106,20 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // per-item failures (deadline, shed load) are reported in-place so one
 // bad cell never loses the batch.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", "5")
-		s.writeError(w, http.StatusServiceUnavailable, client.CodeDraining, ErrDraining.Error())
+	if s.refuseDraining(w) {
 		return
 	}
-	var req client.SweepRequest
-	if err := client.ReadJSON(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, client.CodeBadRequest, err.Error())
+	req, rej := edge.DecodeSweep(w, r, s.cfg.MaxSweep)
+	if rej != nil {
+		rej.Write(w)
 		return
 	}
-	if err := client.CheckWireVersion(req.V); err != nil {
-		s.writeError(w, http.StatusBadRequest, client.CodeUnsupportedVersion, err.Error())
-		return
-	}
-	if len(req.Runs) == 0 {
-		s.writeError(w, http.StatusBadRequest, client.CodeBadRequest, "empty sweep: give at least one run")
-		return
-	}
-	if len(req.Runs) > s.cfg.MaxSweep {
-		s.writeError(w, http.StatusBadRequest, client.CodeBadRequest,
-			fmt.Sprintf("sweep of %d runs exceeds the limit of %d", len(req.Runs), s.cfg.MaxSweep))
-		return
-	}
-	for i, item := range req.Runs {
-		if err := client.CheckWireVersion(item.V); err != nil {
-			s.writeError(w, http.StatusBadRequest, client.CodeUnsupportedVersion,
-				fmt.Sprintf("runs[%d]: %v", i, err))
-			return
-		}
-		if err := item.Validate(); err != nil {
-			s.writeError(w, http.StatusBadRequest, client.CodeBadRequest, fmt.Sprintf("runs[%d]: %v", i, err))
-			return
-		}
-	}
-
 	ctx := r.Context()
 	items := make([]client.SweepItem, len(req.Runs))
-	workers := s.cfg.MaxInflight
-	if workers > len(req.Runs) {
-		workers = len(req.Runs)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				items[i] = s.sweepItem(ctx, req.Runs[i])
-			}
-		}()
-	}
-	// Feed under the request context: a client that disconnects (or a
-	// worker pool wedged by a panic) must not leave this loop blocked on
-	// a bare send forever. Cells never fed report the context error.
-	fed := len(req.Runs)
-feed:
-	for i := range req.Runs {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			fed = i
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	for i := fed; i < len(items); i++ {
-		items[i].Hash = req.Runs[i].Hash()
-		items[i].Error = fmt.Errorf("sweep canceled: %w", ctx.Err()).Error()
-	}
-	s.writeJSON(w, http.StatusOK, client.SweepResponse{Results: items})
+	edge.Sweep(ctx, req.Runs, items, s.cfg.MaxInflight, func(i int) {
+		items[i] = s.sweepItem(ctx, req.Runs[i])
+	})
+	edge.WriteJSON(w, http.StatusOK, client.SweepResponse{Results: items})
 }
 
 // sweepItem runs one sweep cell, containing a panicking simulation to
@@ -179,7 +147,7 @@ func (s *Server) sweepItem(ctx context.Context, spec client.RunRequest) (item cl
 
 // handlePolicies serves GET /v1/policies: the Table 6 policy names.
 func (s *Server) handlePolicies(w http.ResponseWriter, _ *http.Request) {
-	s.writeJSON(w, http.StatusOK, client.PoliciesResponse{Policies: solarcore.Policies()})
+	edge.WriteJSON(w, http.StatusOK, client.PoliciesResponse{Policies: solarcore.Policies()})
 }
 
 // handleMetrics serves GET /metrics: the obs.Registry snapshot as
@@ -195,8 +163,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", "5")
-		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		edge.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	edge.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"solarcore"
+	"solarcore/internal/edge"
 	"solarcore/internal/lru"
 	"solarcore/internal/obs"
 	"solarcore/internal/store"
@@ -215,13 +216,15 @@ func New(cfg Config) *Server {
 			s.cache.Put(recent[i].Key, recent[i].Body)
 		}
 	}
+	mw := edge.Meter{Registry: s.reg, Requests: MetricRequests, CountPanic: s.countPanic,
+		AccessLog: cfg.AccessLog, Clock: cfg.Clock}
 	s.mux = http.NewServeMux()
-	s.mux.Handle("POST /v1/run", s.instrument("/v1/run", s.handleRun))
-	s.mux.Handle("POST /v1/sweep", s.instrument("/v1/sweep", s.handleSweep))
-	s.mux.Handle("GET /v1/stream", s.instrument("/v1/stream", s.handleStream))
-	s.mux.Handle("GET /v1/policies", s.instrument("/v1/policies", s.handlePolicies))
-	s.mux.Handle("GET /metrics", s.instrument("/metrics", s.handleMetrics))
-	s.mux.Handle("GET /healthz", s.instrument("/healthz", s.handleHealthz))
+	s.mux.Handle("POST /v1/run", mw.Instrument(s.handleRun))
+	s.mux.Handle("POST /v1/sweep", mw.Instrument(s.handleSweep))
+	s.mux.Handle("GET /v1/stream", mw.Instrument(s.handleStream))
+	s.mux.Handle("GET /v1/policies", mw.Instrument(s.handlePolicies))
+	s.mux.Handle("GET /metrics", mw.Instrument(s.handleMetrics))
+	s.mux.Handle("GET /healthz", mw.Instrument(s.handleHealthz))
 	return s
 }
 

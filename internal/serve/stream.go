@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +9,7 @@ import (
 
 	"solarcore"
 	"solarcore/client"
+	"solarcore/internal/edge"
 	"solarcore/internal/obs"
 	"solarcore/internal/stream"
 )
@@ -30,35 +30,15 @@ func evKey(key string) string { return key + evSuffix }
 // resumes strictly after the given sequence number (DESIGN.md §17).
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Stream == nil {
-		s.writeError(w, http.StatusNotFound, client.CodeBadRequest, "streaming is disabled on this server")
+		client.WriteError(w, http.StatusNotFound, client.CodeBadRequest, "streaming is disabled on this server")
 		return
 	}
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", "5")
-		s.writeError(w, http.StatusServiceUnavailable, client.CodeDraining, ErrDraining.Error())
+	if s.refuseDraining(w) {
 		return
 	}
-	specParam := r.URL.Query().Get("spec")
-	if specParam == "" {
-		s.writeError(w, http.StatusBadRequest, client.CodeBadRequest, "missing spec query parameter")
-		return
-	}
-	var req client.RunRequest
-	if err := client.UnmarshalStrict([]byte(specParam), &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, client.CodeBadRequest, err.Error())
-		return
-	}
-	if err := client.CheckWireVersion(req.V); err != nil {
-		s.writeError(w, http.StatusBadRequest, client.CodeUnsupportedVersion, err.Error())
-		return
-	}
-	if err := req.Validate(); err != nil {
-		s.writeError(w, http.StatusBadRequest, client.CodeBadRequest, err.Error())
-		return
-	}
-	after, err := client.ParseLastEventID(r.Header.Get(client.HeaderLastEventID))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, client.CodeBadRequest, err.Error())
+	req, after, rej := edge.DecodeStream(r)
+	if rej != nil {
+		rej.Write(w)
 		return
 	}
 	sub := s.openStream(req.RunSpec, req.TimeoutMs, after)
@@ -132,11 +112,7 @@ func (s *Server) feedTopic(topic *stream.Topic, spec solarcore.RunSpec, timeoutM
 // ends after its final event (run_end, for a live run).
 func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, sub *stream.Sub) {
 	rc := http.NewResponseController(w)
-	h := w.Header()
-	h.Set("Content-Type", client.ContentTypeSSE)
-	h.Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	_ = rc.Flush()
+	edge.StartSSE(w, rc)
 	for {
 		wctx, cancel := context.WithTimeout(r.Context(), s.cfg.Heartbeat)
 		fr, err := sub.Next(wctx)
@@ -147,7 +123,7 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, sub *stream.Su
 		cancel()
 		switch {
 		case err == nil:
-			if writeFrame(w, fr) != nil {
+			if edge.WriteFrame(w, fr.Seq, fr.Type, fr.Data) != nil {
 				return // client gone mid-write
 			}
 			_ = rc.Flush()
@@ -161,55 +137,15 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, sub *stream.Su
 			if r.Context().Err() != nil {
 				return
 			}
-			if _, werr := io.WriteString(w, ": hb\n\n"); werr != nil {
+			if _, werr := io.WriteString(w, edge.Heartbeat); werr != nil {
 				return
 			}
 			_ = rc.Flush()
 		default:
-			code, retryMs := streamErrorCode(err)
-			_ = writeEventFrame(w, client.StreamEventError, client.ErrorBody(code, err.Error(), retryMs))
+			_, code, retryMs := runErrorClass(err)
+			_ = edge.WriteFrame(w, 0, client.StreamEventError, client.ErrorBody(code, err.Error(), retryMs))
 			_ = rc.Flush()
 			return
 		}
-	}
-}
-
-// writeFrame emits one subscription frame as an SSE event. Gap frames
-// carry no id line, so a client's resume cursor stays pinned to the last
-// real event it saw.
-func writeFrame(w io.Writer, fr stream.Frame) error {
-	var buf bytes.Buffer
-	if fr.Seq > 0 {
-		fmt.Fprintf(&buf, "id: %d\n", fr.Seq)
-	}
-	fmt.Fprintf(&buf, "event: %s\ndata: %s\n\n", fr.Type, fr.Data)
-	_, err := w.Write(buf.Bytes())
-	return err
-}
-
-// writeEventFrame emits one named SSE frame with the given data payload.
-func writeEventFrame(w io.Writer, name string, data []byte) error {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "event: %s\ndata: %s\n\n", name, data)
-	_, err := w.Write(buf.Bytes())
-	return err
-}
-
-// streamErrorCode maps a feed failure onto its envelope code and retry
-// hint — the SSE counterpart of writeRunError's status mapping.
-func streamErrorCode(err error) (code string, retryMs int64) {
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		return client.CodeOverloaded, 1000
-	case errors.Is(err, ErrDraining):
-		return client.CodeDraining, 5000
-	case errors.Is(err, solarcore.ErrUnknownPolicy):
-		return client.CodeBadRequest, 0
-	case errors.Is(err, context.DeadlineExceeded):
-		return client.CodeDeadline, 0
-	case errors.Is(err, context.Canceled):
-		return client.CodeCanceled, 1000
-	default:
-		return client.CodeInternal, 0
 	}
 }

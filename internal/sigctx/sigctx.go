@@ -1,15 +1,19 @@
-// Package sigctx is the one place the CLIs wire POSIX shutdown signals
-// into a context. cmd/solard (graceful HTTP drain) and cmd/solarfleet
-// (worker-pool cancellation with partial-result flush) share it so both
-// react to SIGINT and SIGTERM identically: first signal cancels the
-// context cooperatively, second signal kills the process via Go's
-// default disposition (signal.Reset inside stop).
+// Package sigctx is the context plumbing shared by the CLIs and the
+// servers. WithShutdown wires POSIX shutdown signals into a context:
+// cmd/solard (graceful HTTP drain) and cmd/solarfleet (worker-pool
+// cancellation with partial-result flush) share it so both react to
+// SIGINT and SIGTERM identically — first signal cancels the context
+// cooperatively, second signal kills the process via Go's default
+// disposition (signal.Reset inside stop). Each is the one
+// context-bounded worker pool behind solarfleet's days, the experiment
+// lab's prefetch grid and both servers' /v1/sweep fan-out.
 package sigctx
 
 import (
 	"context"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 )
 
@@ -18,4 +22,36 @@ import (
 // first signal) a subsequent signal takes the process down immediately.
 func WithShutdown(parent context.Context) (ctx context.Context, stop context.CancelFunc) {
 	return signal.NotifyContext(parent, os.Interrupt, syscall.SIGTERM)
+}
+
+// Each runs fn(i) for i in [0, n) on at most workers goroutines (at
+// least one) and waits for them. Indices are fed in order under ctx:
+// once ctx is done no further index starts (running ones finish), so a
+// canceled caller never blocks on the feed. fed is the count of indices
+// handed out — exactly [0, fed) ran; n when ctx outlived the feed.
+func Each(ctx context.Context, n, workers int, fn func(i int)) (fed int) {
+	workers = max(1, min(workers, n))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				fn(i)
+			}
+		}()
+	}
+	defer func() {
+		close(next)
+		wg.Wait()
+	}()
+	for i := range n {
+		select {
+		case next <- i:
+		case <-ctx.Done():
+			return i
+		}
+	}
+	return n
 }
