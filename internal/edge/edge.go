@@ -52,10 +52,9 @@ func (r *recorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 // Meter is one server's instrumentation: where Instrument counts
 // requests and panics, where it logs access lines, and its clock.
 type Meter struct {
-	// Registry receives the request counter.
-	Registry *obs.Registry
-	// Requests is the counter name of completed requests.
-	Requests string
+	// CountRequest records one completed request. The server owns the
+	// counter, so its name stays a constant at the registry call.
+	CountRequest func()
 	// CountPanic records one contained panic; the server owns the
 	// counter so its sweep workers can bump it from their own recover.
 	CountPanic func()
@@ -80,7 +79,7 @@ func (m Meter) Instrument(h http.HandlerFunc) http.Handler {
 					client.WriteError(rec, http.StatusInternalServerError, client.CodeInternal, "internal error")
 				}
 			}
-			m.Registry.Add(m.Requests, 1)
+			m.CountRequest()
 			if m.AccessLog != nil {
 				status := rec.status
 				if status == 0 {

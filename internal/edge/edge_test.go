@@ -61,11 +61,10 @@ func TestInstrument(t *testing.T) {
 	panics := 0
 	tick := time.Unix(0, 0)
 	m := Meter{
-		Registry:   reg,
-		Requests:   "test_requests_total",
-		CountPanic: func() { panics++ },
-		AccessLog:  obs.NewJSONLSink(&log),
-		Clock:      func() time.Time { tick = tick.Add(time.Millisecond); return tick },
+		CountRequest: func() { reg.Add("test_requests_total", 1) },
+		CountPanic:   func() { panics++ },
+		AccessLog:    obs.NewJSONLSink(&log),
+		Clock:        func() time.Time { tick = tick.Add(time.Millisecond); return tick },
 	}
 	ok := m.Instrument(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set(client.HeaderCache, obs.CacheHit)

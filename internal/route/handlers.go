@@ -13,6 +13,12 @@ import (
 	"solarcore/internal/obs"
 )
 
+// countRequest records one completed request for the edge middleware
+// (single registration site for the counter).
+func (rt *Router) countRequest() {
+	rt.reg.Add(MetricRequests, 1)
+}
+
 // countPanic records one contained panic (single registration site for
 // the counter).
 func (rt *Router) countPanic() {

@@ -272,7 +272,7 @@ func New(cfg Config) (*Router, error) {
 	rt.ring = buildRing(names, cfg.VNodes)
 	rt.setHealthyGauge()
 
-	mw := edge.Meter{Registry: rt.reg, Requests: MetricRequests, CountPanic: rt.countPanic,
+	mw := edge.Meter{CountRequest: rt.countRequest, CountPanic: rt.countPanic,
 		AccessLog: cfg.AccessLog, Clock: cfg.Clock}
 	rt.mux = http.NewServeMux()
 	rt.mux.Handle("POST /v1/run", mw.Instrument(rt.handleRun))

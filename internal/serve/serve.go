@@ -216,7 +216,7 @@ func New(cfg Config) *Server {
 			s.cache.Put(recent[i].Key, recent[i].Body)
 		}
 	}
-	mw := edge.Meter{Registry: s.reg, Requests: MetricRequests, CountPanic: s.countPanic,
+	mw := edge.Meter{CountRequest: s.countRequest, CountPanic: s.countPanic,
 		AccessLog: cfg.AccessLog, Clock: cfg.Clock}
 	s.mux = http.NewServeMux()
 	s.mux.Handle("POST /v1/run", mw.Instrument(s.handleRun))

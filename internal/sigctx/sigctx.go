@@ -25,10 +25,12 @@ func WithShutdown(parent context.Context) (ctx context.Context, stop context.Can
 }
 
 // Each runs fn(i) for i in [0, n) on at most workers goroutines (at
-// least one) and waits for them. Indices are fed in order under ctx:
-// once ctx is done no further index starts (running ones finish), so a
-// canceled caller never blocks on the feed. fed is the count of indices
-// handed out — exactly [0, fed) ran; n when ctx outlived the feed.
+// least one) and waits for them. Indices are fed in order, each only
+// after ctx is checked not done: a context done before the call runs
+// nothing, and after a cancel at most the one index whose check raced
+// it still starts (running ones finish). A canceled caller never blocks
+// on the feed. fed is the count of indices handed out — exactly
+// [0, fed) ran; n when ctx outlived the feed.
 func Each(ctx context.Context, n, workers int, fn func(i int)) (fed int) {
 	workers = max(1, min(workers, n))
 	next := make(chan int)
@@ -47,6 +49,9 @@ func Each(ctx context.Context, n, workers int, fn func(i int)) (fed int) {
 		wg.Wait()
 	}()
 	for i := range n {
+		if ctx.Err() != nil {
+			return i
+		}
 		select {
 		case next <- i:
 		case <-ctx.Done():
