@@ -36,9 +36,6 @@ type Options struct {
 	// performs; the schedule tag becomes part of the cache keys, so one
 	// lab can serve faulted and clean grids without cross-talk.
 	Faults *fault.Schedule
-	// Watchdog tunes the degradation state machine of faulted runs (the
-	// zero value takes the DESIGN.md §11 defaults).
-	Watchdog fault.WatchdogConfig
 	// CacheEntries caps the lab's LRU result cache (0 takes
 	// DefaultCacheEntries; negative values clamp to 1), so unboundedly
 	// long ablation sweeps cannot grow memory without limit. Evictions
@@ -188,7 +185,6 @@ func (l *Lab) config(site atmos.Site, season atmos.Season, mix workload.Mix, kee
 		StepMin:    l.Opts.stepMin(),
 		KeepSeries: keepSeries,
 		Faults:     l.Opts.Faults,
-		Watchdog:   l.Opts.Watchdog,
 	}
 }
 

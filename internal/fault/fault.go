@@ -232,8 +232,10 @@ func (s *Schedule) Runtime() *Runtime {
 		// Stochastic injectors without an explicit seed inherit a
 		// per-injector stream derived from the schedule seed, so two
 		// dropout windows in one schedule draw independent sequences.
+		// The runtime keeps a seeded copy: the schedule is shared by
+		// concurrent runs and is never written.
 		if sd, ok := inj.(seedable); ok {
-			sd.defaultSeed(rt.seed + int64(i+1)*0x1000193)
+			inj = sd.seeded(rt.seed + int64(i+1)*0x1000193)
 		}
 		rt.armed = append(rt.armed, inj)
 	}
@@ -242,10 +244,10 @@ func (s *Schedule) Runtime() *Runtime {
 }
 
 // seedable is implemented by stochastic injectors that accept a default
-// seed from the enclosing schedule (a no-op when an explicit Seed was
-// set).
+// seed from the enclosing schedule. seeded returns the injector itself
+// when it carries an explicit Seed, else a copy holding seed.
 type seedable interface {
-	defaultSeed(seed int64)
+	seeded(seed int64) Injector
 }
 
 // seed resolves the schedule seed, defaulting to a fixed constant so the

@@ -3,7 +3,9 @@ package fault
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"solarcore/internal/mathx"
@@ -128,6 +130,82 @@ func TestDeterminismAcrossRuntimes(t *testing.T) {
 	}
 	if !diverged {
 		t.Error("different seeds never diverged over 200 minutes")
+	}
+}
+
+// runtimeTrace fingerprints a runtime's stochastic channels over minutes
+// [600, 720): irradiance scale, sensed power and solver faults.
+func runtimeTrace(rt *Runtime) []float64 {
+	var out []float64
+	for m := 600.0; m < 720; m++ {
+		sensed := rt.Sense(m, power.Operating{VLoad: 12, ILoad: 5, PLoad: 60}).PLoad
+		solver := 0.0
+		if rt.SolverErr(m) != nil {
+			solver = 1
+		}
+		out = append(out, rt.IrradianceScale(m), sensed, solver)
+	}
+	return out
+}
+
+// TestRuntimeSharedScheduleConcurrent pins that Runtime never writes to
+// its schedule: one schedule shared by concurrent runs (a Runner built
+// WithFaults, a faulted lab prefetch) is race-free under -race, every
+// runtime derives the same per-injector seeds, and the schedule's
+// unseeded injectors stay unseeded.
+func TestRuntimeSharedScheduleConcurrent(t *testing.T) {
+	s, err := ParseSpec("cloud:t0=600,t1=660,i=0.8;sensor-drop:t0=600,t1=720,i=0.5;solver:t0=600,t1=700,i=0.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := make([][]float64, 4)
+	var wg sync.WaitGroup
+	for g := range traces {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			traces[g] = runtimeTrace(s.Runtime())
+		}()
+	}
+	wg.Wait()
+	for g := 1; g < len(traces); g++ {
+		if !slices.Equal(traces[g], traces[0]) {
+			t.Fatalf("runtime %d replayed differently from runtime 0", g)
+		}
+	}
+	for i, inj := range s.Injectors {
+		var seed int64
+		switch v := inj.(type) {
+		case *CloudBurst:
+			seed = v.Seed
+		case *SensorDropout:
+			seed = v.Seed
+		case *SolverFault:
+			seed = v.Seed
+		}
+		if seed != 0 {
+			t.Errorf("injector %d (%s) was seeded in place by Runtime: seed %d", i, inj.Kind(), seed)
+		}
+	}
+}
+
+// TestRuntimeSeedsPerSchedule pins that an injector shared by two
+// schedules draws each schedule's derived seed, whichever ran first.
+func TestRuntimeSeedsPerSchedule(t *testing.T) {
+	drop := &SensorDropout{W: Window{0, 1440}, I: 0.5}
+	for _, seed := range []int64{0, 5} {
+		rt := NewSchedule(seed, drop).Runtime()
+		want := NewSchedule(seed).seed() + 0x1000193 // index 0
+		if got := rt.armed[0].(*SensorDropout).Seed; got != want {
+			t.Errorf("schedule seed %d: runtime injector seed %d, want %d", seed, got, want)
+		}
+	}
+	if drop.Seed != 0 {
+		t.Errorf("shared injector seed = %d after Runtime, want 0 (untouched)", drop.Seed)
+	}
+	explicit := &SolverFault{W: Window{0, 1440}, I: 0.5, Seed: 42}
+	if got := NewSchedule(5, explicit).Runtime().armed[0]; got != Injector(explicit) {
+		t.Errorf("explicitly seeded injector was copied: %#v", got)
 	}
 }
 

@@ -44,10 +44,13 @@ func (c *CloudBurst) Window() Window { return c.W }
 // unit: ratio
 func (c *CloudBurst) Intensity() float64 { return c.I }
 
-func (c *CloudBurst) defaultSeed(seed int64) {
-	if c.Seed == 0 {
-		c.Seed = seed
+func (c *CloudBurst) seeded(seed int64) Injector {
+	if c.Seed != 0 {
+		return c
 	}
+	cp := *c
+	cp.Seed = seed
+	return &cp
 }
 
 // IrradianceScale implements IrradianceScaler: 1 − I·sin²(π·u) shaped
@@ -178,10 +181,13 @@ func (s *SensorDropout) Window() Window { return s.W }
 // unit: ratio
 func (s *SensorDropout) Intensity() float64 { return s.I }
 
-func (s *SensorDropout) defaultSeed(seed int64) {
-	if s.Seed == 0 {
-		s.Seed = seed
+func (s *SensorDropout) seeded(seed int64) Injector {
+	if s.Seed != 0 {
+		return s
 	}
+	cp := *s
+	cp.Seed = seed
+	return &cp
 }
 
 // Dropped reports whether the sensor is dark at the given minute — a
@@ -355,10 +361,13 @@ func (s *SolverFault) Window() Window { return s.W }
 // unit: ratio
 func (s *SolverFault) Intensity() float64 { return s.I }
 
-func (s *SolverFault) defaultSeed(seed int64) {
-	if s.Seed == 0 {
-		s.Seed = seed
+func (s *SolverFault) seeded(seed int64) Injector {
+	if s.Seed != 0 {
+		return s
 	}
+	cp := *s
+	cp.Seed = seed
+	return &cp
 }
 
 // SolverErr implements SolverMod.

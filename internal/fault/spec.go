@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -24,8 +25,9 @@ func Kinds() []string {
 //	field    := ('t0'|'t1'|'i'|'seed') '=' number
 //
 // e.g. "cloud:t0=600,t1=660,i=0.8;sensor-drop:t0=700,t1=720,i=1".
-// Every entry needs t0 < t1 and an intensity i in [0,1]; seed is
-// optional (the schedule seed is the first entry's seed when given).
+// Every entry needs finite t0 < t1 and an intensity i in [0,1]; seed is
+// optional, an integer in int64 range (the schedule seed is the first
+// entry's seed when given).
 // Whitespace around tokens is ignored. An empty spec returns a disarmed
 // empty schedule. Errors name the offending token and list the known
 // kinds.
@@ -60,6 +62,9 @@ func ParseSpec(spec string) (*Schedule, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fault: %s: bad %s value %q", kind, key, val)
 			}
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return nil, fmt.Errorf("fault: %s: %s value %q is not finite", kind, key, val)
+			}
 			switch key {
 			case "t0":
 				w.T0, sawT0 = f, true
@@ -68,7 +73,9 @@ func ParseSpec(spec string) (*Schedule, error) {
 			case "i", "intensity":
 				intensity, sawI = f, true
 			case "seed":
-				seed = int64(f)
+				if seed, ok = intSeed(val, f); !ok {
+					return nil, fmt.Errorf("fault: %s: seed value %q is not an integer in int64 range", kind, val)
+				}
 			default:
 				return nil, fmt.Errorf("fault: %s: unknown field %q (want t0, t1, i, seed)", kind, key)
 			}
@@ -92,6 +99,18 @@ func ParseSpec(spec string) (*Schedule, error) {
 		s.Injectors = append(s.Injectors, inj)
 	}
 	return s, nil
+}
+
+// intSeed reads a seed field exactly: a decimal int64, or a number
+// spelling (e.g. "1e3") of an integer inside the int64 range.
+func intSeed(val string, f float64) (int64, bool) {
+	if n, err := strconv.ParseInt(val, 10, 64); err == nil {
+		return n, true
+	}
+	if _, frac := math.Modf(f); frac != 0 || f < -(1<<63) || f >= 1<<63 {
+		return 0, false
+	}
+	return int64(f), true
 }
 
 // newInjector builds the built-in injector for a spec keyword.

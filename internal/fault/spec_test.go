@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -69,6 +70,12 @@ func TestParseSpecErrors(t *testing.T) {
 		{"cloud:t0=abc,t1=660,i=0.5", "bad t0", false},
 		{"cloud:bogus=1,t0=600,t1=660,i=0.5", `unknown field "bogus"`, false},
 		{"cloud:t0,t1=660,i=0.5", "needs key=value", false},
+		{"cloud:t0=NaN,t1=660,i=0.5", "t0 value", false},
+		{"cloud:t0=600,t1=Inf,i=0.5", "t1 value", false},
+		{"cloud:t0=600,t1=660,i=NaN", "i value", false},
+		{"cloud:t0=600,t1=660,i=0.5,seed=1e300", "seed value", false},
+		{"cloud:t0=600,t1=660,i=0.5,seed=1.5", "seed value", false},
+		{"cloud:t0=600,t1=660,i=0.5,seed=9223372036854775808", "seed value", false},
 	}
 	for _, c := range cases {
 		_, err := ParseSpec(c.spec)
@@ -81,6 +88,26 @@ func TestParseSpecErrors(t *testing.T) {
 		}
 		if c.wantKinds && !strings.Contains(err.Error(), KindCloud) {
 			t.Errorf("spec %q: error %q does not list the known kinds", c.spec, err)
+		}
+	}
+}
+
+// TestParseSpecSeedExact pins exact seed parsing: the full int64 range
+// in decimal, and integral number spellings.
+func TestParseSpecSeedExact(t *testing.T) {
+	for val, want := range map[string]int64{
+		"9223372036854775807":  math.MaxInt64,
+		"-9223372036854775808": math.MinInt64,
+		"1e3":                  1000,
+		"7":                    7,
+	} {
+		s, err := ParseSpec("cloud:t0=600,t1=660,i=0.5,seed=" + val)
+		if err != nil {
+			t.Errorf("seed=%s: %v", val, err)
+			continue
+		}
+		if got := s.Injectors[0].(*CloudBurst).Seed; got != want || s.Seed != want {
+			t.Errorf("seed=%s: injector seed %d, schedule seed %d, want %d", val, got, s.Seed, want)
 		}
 	}
 }

@@ -4,8 +4,8 @@ package obs
 // the same versioned JSONL envelope as the simulation event stream, so
 // one ReadEvents call decodes either (or a mixed file). AccessEvent is
 // not part of the Observer interface — requests are not simulation
-// lifecycle hooks — and is instead emitted directly on a JSONLSink via
-// OnAccess.
+// lifecycle hooks — and is instead emitted through EventFunc.OnAccess,
+// which a JSONLSink promotes.
 
 // TypeAccess is the Event.Type discriminator of an AccessEvent line.
 const TypeAccess = "access"
@@ -42,9 +42,4 @@ type AccessEvent struct {
 	Cache string `json:"cache,omitempty"`
 	// Remote is the client address, when known.
 	Remote string `json:"remote,omitempty"`
-}
-
-// OnAccess appends one access-log line to the sink.
-func (s *JSONLSink) OnAccess(ev AccessEvent) {
-	s.emit(Event{Type: TypeAccess, Access: &ev})
 }

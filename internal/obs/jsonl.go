@@ -72,16 +72,11 @@ type StoreEvent struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// OnStore appends one store lifecycle line to the sink.
-func (s *JSONLSink) OnStore(ev StoreEvent) {
-	s.emit(Event{Type: TypeStore, Store: &ev})
-}
-
 // Event is the JSONL envelope: one line per hook invocation, with Type
 // selecting which single payload pointer is populated. The envelope
 // round-trips exactly through encoding/json (Go emits float64 with the
 // shortest representation that parses back to the same value), which the
-// schema test asserts.
+// schema test asserts. MarshalEvent and DecodeEvent are its only codec.
 type Event struct {
 	// V is the schema version (SchemaVersion).
 	V int `json:"v"`
@@ -100,103 +95,143 @@ type Event struct {
 	Gap      *GapEvent      `json:"gap,omitempty"`
 }
 
+// payload returns how many payload pointers e carries and the Type
+// discriminator of the last one set.
+func (e *Event) payload() (typ string, n int) {
+	for _, p := range [...]struct {
+		typ string
+		set bool
+	}{
+		{TypeRunStart, e.RunStart != nil},
+		{TypeTrack, e.Track != nil},
+		{TypeAlloc, e.Alloc != nil},
+		{TypeTick, e.Tick != nil},
+		{TypeRunEnd, e.RunEnd != nil},
+		{TypeFault, e.Fault != nil},
+		{TypeWatchdog, e.Watchdog != nil},
+		{TypeAccess, e.Access != nil},
+		{TypeStore, e.Store != nil},
+		{TypeGap, e.Gap != nil},
+	} {
+		if p.set {
+			typ, n = p.typ, n+1
+		}
+	}
+	return typ, n
+}
+
 // Validate checks the envelope invariants: a known schema version and
 // exactly one payload, matching the Type discriminator.
 func (e Event) Validate() error {
 	if e.V != SchemaVersion {
 		return fmt.Errorf("obs: event schema version %d (want %d)", e.V, SchemaVersion)
 	}
-	var set []string
-	if e.RunStart != nil {
-		set = append(set, TypeRunStart)
+	typ, n := e.payload()
+	if n != 1 {
+		return fmt.Errorf("obs: event %q carries %d payloads (want exactly 1)", e.Type, n)
 	}
-	if e.Track != nil {
-		set = append(set, TypeTrack)
-	}
-	if e.Alloc != nil {
-		set = append(set, TypeAlloc)
-	}
-	if e.Tick != nil {
-		set = append(set, TypeTick)
-	}
-	if e.RunEnd != nil {
-		set = append(set, TypeRunEnd)
-	}
-	if e.Fault != nil {
-		set = append(set, TypeFault)
-	}
-	if e.Watchdog != nil {
-		set = append(set, TypeWatchdog)
-	}
-	if e.Access != nil {
-		set = append(set, TypeAccess)
-	}
-	if e.Store != nil {
-		set = append(set, TypeStore)
-	}
-	if e.Gap != nil {
-		set = append(set, TypeGap)
-	}
-	if len(set) != 1 {
-		return fmt.Errorf("obs: event %q carries %d payloads (want exactly 1)", e.Type, len(set))
-	}
-	if set[0] != e.Type {
-		return fmt.Errorf("obs: event type %q does not match payload %q", e.Type, set[0])
+	if typ != e.Type {
+		return fmt.Errorf("obs: event type %q does not match payload %q", e.Type, typ)
 	}
 	return nil
 }
 
+// MarshalEvent encodes one envelope line (without its trailing newline).
+// It first stamps ev's V with SchemaVersion and its Type with the
+// discriminator of the single payload ev carries, so callers set only
+// the payload.
+func MarshalEvent(ev *Event) ([]byte, error) {
+	typ, n := ev.payload()
+	if n != 1 {
+		return nil, fmt.Errorf("obs: event carries %d payloads (want exactly 1)", n)
+	}
+	ev.V, ev.Type = SchemaVersion, typ
+	return json.Marshal(ev)
+}
+
+// DecodeEvent decodes one envelope line and validates it.
+func DecodeEvent(line []byte) (Event, error) {
+	var ev Event
+	if err := json.Unmarshal(line, &ev); err != nil {
+		return Event{}, err
+	}
+	return ev, ev.Validate()
+}
+
+// EventFunc adapts a consumer of encoded event lines into an Observer,
+// in the style of http.HandlerFunc. Each hook — the seven Observer hooks
+// plus OnAccess and OnStore — wraps its payload in the envelope, encodes
+// it with MarshalEvent and calls f with the Type discriminator and the
+// line. JSONLSink writes the lines to a file and stream.NewPublisher
+// publishes them to a live topic, so both carry the same bytes.
+type EventFunc func(typ string, line []byte)
+
+func (f EventFunc) emit(ev Event) {
+	// The payloads are plain structs of numbers and strings and every
+	// hook sets exactly one, so MarshalEvent cannot fail.
+	if line, err := MarshalEvent(&ev); err == nil {
+		f(ev.Type, line)
+	}
+}
+
+// OnRunStart implements Observer.
+func (f EventFunc) OnRunStart(ev RunStartEvent) { f.emit(Event{RunStart: &ev}) }
+
+// OnTrack implements Observer. The Levels slice is referenced, not
+// copied; the engine hands each event a fresh slice.
+func (f EventFunc) OnTrack(ev TrackEvent) { f.emit(Event{Track: &ev}) }
+
+// OnAlloc implements Observer.
+func (f EventFunc) OnAlloc(ev AllocEvent) { f.emit(Event{Alloc: &ev}) }
+
+// OnTick implements Observer.
+func (f EventFunc) OnTick(ev TickEvent) { f.emit(Event{Tick: &ev}) }
+
+// OnRunEnd implements Observer.
+func (f EventFunc) OnRunEnd(ev RunEndEvent) { f.emit(Event{RunEnd: &ev}) }
+
+// OnFault implements Observer.
+func (f EventFunc) OnFault(ev FaultEvent) { f.emit(Event{Fault: &ev}) }
+
+// OnWatchdog implements Observer.
+func (f EventFunc) OnWatchdog(ev WatchdogEvent) { f.emit(Event{Watchdog: &ev}) }
+
+// OnAccess emits one access-log line.
+func (f EventFunc) OnAccess(ev AccessEvent) { f.emit(Event{Access: &ev}) }
+
+// OnStore emits one store lifecycle line.
+func (f EventFunc) OnStore(ev StoreEvent) { f.emit(Event{Store: &ev}) }
+
 // JSONLSink is an Observer that appends one JSON line per event to a
-// writer. Writes are buffered; call Flush (or Close) when the run is
-// done. The first write error sticks: subsequent events are dropped and
-// Err/Flush/Close report it. A JSONLSink is safe for concurrent use.
+// writer: the EventFunc adapter over a buffered writer. Writes are
+// buffered; call Flush (or Close) when the run is done. The first write
+// error sticks: subsequent events are dropped and Err/Flush/Close report
+// it. A JSONLSink is safe for concurrent use.
 type JSONLSink struct {
+	// EventFunc supplies the hooks; NewJSONLSink points it at the sink.
+	EventFunc
+
 	mu  sync.Mutex
 	buf *bufio.Writer
-	enc *json.Encoder
 	err error
 }
 
 // NewJSONLSink builds a sink writing to w. The caller retains ownership
 // of w (Close flushes the sink but does not close w).
 func NewJSONLSink(w io.Writer) *JSONLSink {
-	buf := bufio.NewWriter(w)
-	return &JSONLSink{buf: buf, enc: json.NewEncoder(buf)}
+	s := &JSONLSink{buf: bufio.NewWriter(w)}
+	s.EventFunc = s.write
+	return s
 }
 
-func (s *JSONLSink) emit(ev Event) {
-	ev.V = SchemaVersion
+func (s *JSONLSink) write(_ string, line []byte) {
 	s.mu.Lock()
 	if s.err == nil {
-		s.err = s.enc.Encode(ev)
+		if _, s.err = s.buf.Write(line); s.err == nil {
+			s.err = s.buf.WriteByte('\n')
+		}
 	}
 	s.mu.Unlock()
-}
-
-// OnRunStart implements Observer.
-func (s *JSONLSink) OnRunStart(ev RunStartEvent) {
-	s.emit(Event{Type: TypeRunStart, RunStart: &ev})
-}
-
-// OnTrack implements Observer. The Levels slice is referenced, not
-// copied; the engine hands each event a fresh slice.
-func (s *JSONLSink) OnTrack(ev TrackEvent) {
-	s.emit(Event{Type: TypeTrack, Track: &ev})
-}
-
-// OnAlloc implements Observer.
-func (s *JSONLSink) OnAlloc(ev AllocEvent) {
-	s.emit(Event{Type: TypeAlloc, Alloc: &ev})
-}
-
-// OnTick implements Observer.
-func (s *JSONLSink) OnTick(ev TickEvent) {
-	s.emit(Event{Type: TypeTick, Tick: &ev})
-}
-
-// OnRunEnd implements Observer.
-func (s *JSONLSink) OnRunEnd(ev RunEndEvent) {
-	s.emit(Event{Type: TypeRunEnd, RunEnd: &ev})
 }
 
 // Err returns the first write error, if any.
@@ -247,11 +282,7 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 		if len(trimmed) == 0 {
 			continue
 		}
-		var ev Event
-		err := json.Unmarshal(trimmed, &ev)
-		if err == nil {
-			err = ev.Validate()
-		}
+		ev, err := DecodeEvent(trimmed)
 		if err != nil {
 			if torn {
 				return events, fmt.Errorf("obs: jsonl line %d truncated: %w (%v)", line, io.ErrUnexpectedEOF, err)

@@ -124,6 +124,45 @@ func TestEventValidate(t *testing.T) {
 	}
 }
 
+// TestEventFuncHandsLineType pins the adapter contract: every hook
+// hands f a valid envelope line together with that line's Type, which
+// the stream hub uses as the SSE event name.
+func TestEventFuncHandsLineType(t *testing.T) {
+	var types []string
+	var lines [][]byte
+	f := EventFunc(func(typ string, line []byte) {
+		types = append(types, typ)
+		lines = append(lines, line)
+	})
+	drive(f)
+	f.OnFault(FaultEvent{Minute: 600, Kind: "cloud", Intensity: 0.5, Phase: FaultBegin})
+	f.OnWatchdog(WatchdogEvent{Minute: 610, From: "tracking", To: "suspect", Reason: "unhealthy"})
+	f.OnAccess(AccessEvent{Method: "GET", Path: "/healthz", Status: 200})
+	f.OnStore(StoreEvent{Op: StoreOpEvict, Key: "k"})
+	want := []string{TypeRunStart, TypeTrack, TypeAlloc, TypeTick, TypeRunEnd,
+		TypeFault, TypeWatchdog, TypeAccess, TypeStore}
+	if len(types) != len(want) {
+		t.Fatalf("got %d lines, want %d", len(types), len(want))
+	}
+	for i, line := range lines {
+		ev, err := DecodeEvent(line)
+		if err != nil {
+			t.Fatalf("line %d %s: %v", i, line, err)
+		}
+		if types[i] != want[i] || ev.Type != want[i] {
+			t.Errorf("line %d: handed type %q, line type %q, want %q", i, types[i], ev.Type, want[i])
+		}
+	}
+}
+
+func TestMarshalEventNeedsOnePayload(t *testing.T) {
+	for _, ev := range []Event{{}, {Tick: &TickEvent{}, Gap: &GapEvent{}}} {
+		if line, err := MarshalEvent(&ev); err == nil {
+			t.Errorf("MarshalEvent(%+v) = %s, want error", ev, line)
+		}
+	}
+}
+
 func TestReadEventsRejectsMalformedLine(t *testing.T) {
 	in := `{"v":1,"type":"tick","tick":{"minute":1,"budget_w":2,"demand_w":1,"on_solar":true}}
 {"v":1,"type":"tick"}

@@ -40,6 +40,10 @@ type Observer interface {
 	// OnRunEnd closes a run: one call, after every other hook. It is not
 	// invoked when the run aborts with an error (including cancellation).
 	OnRunEnd(RunEndEvent)
+	// OnFault reports one injected fault window edge (DESIGN.md §11).
+	OnFault(FaultEvent)
+	// OnWatchdog reports one MPPT-supervision state transition.
+	OnWatchdog(WatchdogEvent)
 }
 
 // RunStartEvent announces a starting day run.
@@ -191,6 +195,12 @@ func (Nop) OnTick(TickEvent) {}
 // OnRunEnd implements Observer.
 func (Nop) OnRunEnd(RunEndEvent) {}
 
+// OnFault implements Observer.
+func (Nop) OnFault(FaultEvent) {}
+
+// OnWatchdog implements Observer.
+func (Nop) OnWatchdog(WatchdogEvent) {}
+
 // Multi fans every hook out to each non-nil observer in order. It
 // returns nil when the list has no non-nil entries and the single
 // observer itself when it has exactly one, so callers can attach the
@@ -245,5 +255,19 @@ func (m multi) OnTick(ev TickEvent) {
 func (m multi) OnRunEnd(ev RunEndEvent) {
 	for _, o := range m {
 		o.OnRunEnd(ev)
+	}
+}
+
+// OnFault implements Observer.
+func (m multi) OnFault(ev FaultEvent) {
+	for _, o := range m {
+		o.OnFault(ev)
+	}
+}
+
+// OnWatchdog implements Observer.
+func (m multi) OnWatchdog(ev WatchdogEvent) {
+	for _, o := range m {
+		o.OnWatchdog(ev)
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // recorder counts hook invocations.
 type recorder struct {
-	starts, tracks, allocs, ticks, ends int
+	starts, tracks, allocs, ticks, ends, faults, watchdogs int
 }
 
 func (r *recorder) OnRunStart(RunStartEvent) { r.starts++ }
@@ -15,13 +15,18 @@ func (r *recorder) OnTrack(TrackEvent)       { r.tracks++ }
 func (r *recorder) OnAlloc(AllocEvent)       { r.allocs++ }
 func (r *recorder) OnTick(TickEvent)         { r.ticks++ }
 func (r *recorder) OnRunEnd(RunEndEvent)     { r.ends++ }
+func (r *recorder) OnFault(FaultEvent)       { r.faults++ }
+func (r *recorder) OnWatchdog(WatchdogEvent) { r.watchdogs++ }
 
 func TestMultiFansOut(t *testing.T) {
 	a, b := &recorder{}, &recorder{}
 	m := Multi(a, nil, b)
 	drive(m)
+	m.OnFault(FaultEvent{Minute: 600, Kind: "cloud", Intensity: 0.5, Phase: FaultBegin})
+	m.OnWatchdog(WatchdogEvent{Minute: 610, From: "tracking", To: "suspect"})
 	for _, r := range []*recorder{a, b} {
-		if r.starts != 1 || r.tracks != 1 || r.allocs != 1 || r.ticks != 1 || r.ends != 1 {
+		if r.starts != 1 || r.tracks != 1 || r.allocs != 1 || r.ticks != 1 || r.ends != 1 ||
+			r.faults != 1 || r.watchdogs != 1 {
 			t.Errorf("recorder = %+v, want one of each", r)
 		}
 	}

@@ -187,15 +187,13 @@ func (fx *faultCtx) edgeEvents(t float64) {
 	now := fx.rt.Active(t)
 	for _, inj := range fx.prevActive {
 		if !slices.Contains(now, inj) {
-			obs.EmitFault(fx.o, obs.FaultEvent{Minute: t, Kind: inj.Kind(),
-				Intensity: inj.Intensity(), Phase: obs.FaultEnd})
+			fx.emitFault(t, inj, obs.FaultEnd)
 		}
 	}
 	for _, inj := range now {
 		if !slices.Contains(fx.prevActive, inj) {
 			fx.report.Injected++
-			obs.EmitFault(fx.o, obs.FaultEvent{Minute: t, Kind: inj.Kind(),
-				Intensity: inj.Intensity(), Phase: obs.FaultBegin})
+			fx.emitFault(t, inj, obs.FaultBegin)
 		}
 	}
 	fx.prevActive = now
@@ -251,16 +249,25 @@ func (fx *faultCtx) observeFallback(t float64) {
 //
 // unit: t=min, fallbackBudgetW=W
 func (fx *faultCtx) emitWatchdog(t float64, from, to fault.Mode, fallbackBudgetW float64) {
-	if from == to {
+	if from == to || fx.o == nil {
 		return
 	}
 	if to != fault.ModeFallback {
 		fallbackBudgetW = 0
 	}
-	obs.EmitWatchdog(fx.o, obs.WatchdogEvent{
+	fx.o.OnWatchdog(obs.WatchdogEvent{
 		Minute: t, From: from.String(), To: to.String(),
 		Reason: watchdogReason(from, to), FallbackBudgetW: fallbackBudgetW,
 	})
+}
+
+// emitFault reports one injector crossing a window edge.
+//
+// unit: t=min
+func (fx *faultCtx) emitFault(t float64, inj fault.Injector, phase string) {
+	if fx.o != nil {
+		fx.o.OnFault(obs.FaultEvent{Minute: t, Kind: inj.Kind(), Intensity: inj.Intensity(), Phase: phase})
+	}
 }
 
 // watchdogReason names the cause of a supervision transition.
@@ -289,8 +296,7 @@ func watchdogReason(from, to fault.Mode) string {
 func (fx *faultCtx) finish(end float64) FaultReport {
 	fx.edgeEvents(end) // windows already closed before end emit here
 	for _, inj := range fx.prevActive {
-		obs.EmitFault(fx.o, obs.FaultEvent{Minute: end, Kind: inj.Kind(),
-			Intensity: inj.Intensity(), Phase: obs.FaultEnd})
+		fx.emitFault(end, inj, obs.FaultEnd)
 	}
 	r := fx.report
 	r.WatchdogTrips = fx.wd.Trips()

@@ -9,8 +9,10 @@ import (
 	"solarcore/internal/obs"
 )
 
-// recorder captures every hook invocation in order.
+// recorder captures every lifecycle hook invocation in order; the
+// embedded Nop absorbs the fault hooks.
 type recorder struct {
+	obs.Nop
 	types  []string
 	starts []obs.RunStartEvent
 	tracks []obs.TrackEvent

@@ -23,7 +23,6 @@ package stream
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -158,10 +157,10 @@ func (h *Hub) remove(t *Topic) {
 
 // Replay feeds a stored JSONL event tail into t line by line and closes
 // it — the durable-replay path for runs that completed before the
-// watcher arrived. Lines are published byte-for-byte (payloads stay
-// identical to what the sink wrote); only the type discriminator is
-// peeked per line. A tail that cannot be parsed closes the topic with
-// the error instead of delivering a half-decoded stream.
+// watcher arrived. Each line is decoded and validated, then published
+// byte-for-byte (payloads stay identical to what the sink wrote). A tail
+// that cannot be decoded closes the topic with the error instead of
+// delivering a half-decoded stream.
 func (h *Hub) Replay(t *Topic, tail []byte) {
 	h.reg.Add(MetricReplays, 1)
 	for len(tail) > 0 {
@@ -175,14 +174,12 @@ func (h *Hub) Replay(t *Topic, tail []byte) {
 		if len(line) == 0 {
 			continue
 		}
-		var head struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(line, &head); err != nil {
+		ev, err := obs.DecodeEvent(line)
+		if err != nil {
 			t.CloseWith(fmt.Errorf("stream: corrupt event tail: %w", err))
 			return
 		}
-		t.Publish(head.Type, line)
+		t.Publish(ev.Type, line)
 	}
 	t.CloseWith(nil)
 }
@@ -312,13 +309,8 @@ func (t *Topic) TailJSONL() []byte {
 
 // gapLine encodes one gap event as a JSONL line (no trailing newline).
 func gapLine(dropped uint64) []byte {
-	ev := obs.Event{V: obs.SchemaVersion, Type: obs.TypeGap, Gap: &obs.GapEvent{Dropped: dropped}}
-	b, err := json.Marshal(ev)
-	if err != nil {
-		// The envelope is a fixed struct of integers; Marshal cannot fail.
-		// Keep the stream alive with a minimal hand-built line regardless.
-		return []byte(`{"v":1,"type":"gap","gap":{"dropped":0}}`)
-	}
+	// One integer payload: MarshalEvent cannot fail.
+	b, _ := obs.MarshalEvent(&obs.Event{Gap: &obs.GapEvent{Dropped: dropped}})
 	return b
 }
 

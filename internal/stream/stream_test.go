@@ -253,6 +253,16 @@ func TestPublisherMatchesSinkBytes(t *testing.T) {
 	if topic.Len() == 0 {
 		t.Fatal("run published no events")
 	}
+	// Each frame's Type (the SSE event name) is its line's discriminator.
+	sub := topic.Subscribe(0)
+	defer sub.Close()
+	frames, _ := drain(context.Background(), sub)
+	for _, fr := range frames {
+		ev, err := obs.DecodeEvent(fr.Data)
+		if err != nil || fr.Type != ev.Type {
+			t.Fatalf("frame %d: type %q, line %s (decode err %v)", fr.Seq, fr.Type, fr.Data, err)
+		}
+	}
 }
 
 // TestReplayDeliversStoredTail pins the durable-replay path: a stored
@@ -302,6 +312,30 @@ func TestReplayCorruptTailClosesWithError(t *testing.T) {
 	}
 	if len(frames) != 1 {
 		t.Fatalf("got %d frames before the corrupt line, want 1", len(frames))
+	}
+}
+
+// TestReplayInvalidEnvelopeClosesWithError pins that a durable tail is
+// decoded with the one envelope decoder: well-formed JSON that breaks
+// the envelope invariants is corrupt, not a line to relay.
+func TestReplayInvalidEnvelopeClosesWithError(t *testing.T) {
+	for _, bad := range []string{
+		`{"v":2,"type":"tick","tick":{}}`,
+		`{"v":1,"type":"tick","alloc":{}}`,
+		`{"v":1,"type":"tick"}`,
+	} {
+		h := newHub(0)
+		topic, _ := h.Ensure("k")
+		sub := topic.Subscribe(0)
+		h.Replay(topic, []byte("{\"v\":1,\"type\":\"tick\",\"tick\":{}}\n"+bad+"\n"))
+		frames, err := drain(context.Background(), sub)
+		sub.Close()
+		if err == nil || errors.Is(err, io.EOF) {
+			t.Errorf("tail line %s: terminal error = %v, want envelope failure", bad, err)
+		}
+		if len(frames) != 1 {
+			t.Errorf("tail line %s: got %d frames before it, want 1", bad, len(frames))
+		}
 	}
 }
 

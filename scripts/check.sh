@@ -16,8 +16,10 @@
 #                    preserves the machine-readable evidence
 #   go test -race  — the packages that exercise goroutines or share
 #                    state across steps
-#   fuzz smoke     — a few seconds of coverage-guided fuzzing on the
-#                    JSONL event decoder
+#   fuzz smoke     — a few seconds of coverage-guided fuzzing on each
+#                    trust-boundary parser: the JSONL event decoder,
+#                    the fault-schedule grammar, the client SSE frame
+#                    decoder and the store record codec
 #   serving smoke  — boot a real solard on an ephemeral port, probe
 #                    /healthz and /v1/run over HTTP, then drive a short
 #                    solarload run, watch a whole run over GET
@@ -60,6 +62,12 @@ go test -run 'TestFaultSweepSensorDropout' ./internal/exp
 
 echo '== fuzz: obs JSONL decoder (smoke)'
 go test -run '^$' -fuzz 'FuzzReadEvents' -fuzztime 5s ./internal/obs
+
+echo '== fuzz: fault schedule grammar (smoke)'
+go test -run '^$' -fuzz 'FuzzParseSpec' -fuzztime 5s ./internal/fault
+
+echo '== fuzz: client SSE frame decoder (smoke)'
+go test -run '^$' -fuzz 'FuzzStream' -fuzztime 5s ./client
 
 echo '== fuzz: store record codec (smoke)'
 go test -run '^$' -fuzz 'FuzzStoreRecord' -fuzztime 5s ./internal/store
