@@ -48,7 +48,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -158,26 +157,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, "-stream.maxevents must be >= 0")
 	}
 
-	var sink *obs.JSONLSink
-	switch *access {
-	case "":
-	case "-":
-		sink = obs.NewJSONLSink(stdout)
-	default:
-		f, err := os.Create(*access)
-		if err != nil {
-			return fail(stderr, "%v", err)
-		}
-		defer func() { _ = f.Close() }()
-		sink = obs.NewJSONLSink(f)
+	sink, closeAccess, err := sigctx.OpenAccess(*access, stdout)
+	if err != nil {
+		return fail(stderr, "%v", err)
 	}
+	defer closeAccess()
 
 	// One registry shared by the server and the store, so /metrics
 	// exports serve_* and store_* side by side.
 	reg := obs.NewRegistry()
 	var st *store.Store
 	if *storeDir != "" {
-		var err error
 		st, err = store.Open(store.Config{
 			Dir:      *storeDir,
 			MaxBytes: *storeMax,
@@ -218,53 +208,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *ratelimit > 0 {
 		handler = paced(ctx, handler, *ratelimit)
 	}
-	hs := &http.Server{Handler: handler}
 	pf(stdout, "solard: listening on http://%s\n", ln.Addr())
 
-	served := make(chan error, 1)
-	go func() { served <- hs.Serve(ln) }()
-
-	select {
-	case err := <-served:
-		// Serve only returns on failure here (Shutdown is the other exit,
-		// taken below).
-		if st != nil {
-			_ = st.Close()
-		}
-		return fail(stderr, "%v", err)
-	case <-ctx.Done():
-	}
-
-	// Shutdown state machine (DESIGN.md §12): drain → stop listener →
-	// cancel stragglers → exit 0.
-	pf(stdout, "solard: signal received, draining (grace %s)\n", *grace)
-	srv.StartDrain()
-	sctx, cancel := context.WithTimeout(context.Background(), *grace)
-	defer cancel()
-	code := 0
-	if err := hs.Shutdown(sctx); err != nil {
-		pf(stderr, "solard: drain incomplete: %v\n", err)
-		code = 1
-	}
-	if err := srv.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
-		pf(stderr, "solard: close: %v\n", err)
-		code = 1
-	}
-	// Store last: a clean shutdown writes the recency journal so the
-	// next boot warm-starts in LRU order (a crash skips this and the
-	// store degrades to cold-but-correct).
+	// Drain, then cancel stragglers and flush the access log, then the
+	// store last: a clean shutdown writes the recency journal so the next
+	// boot warm-starts in LRU order (a crash skips this and the store
+	// degrades to cold-but-correct).
+	steps := []sigctx.Step{{Name: "close", Close: srv.Close}}
 	if st != nil {
-		if err := st.Close(); err != nil {
-			pf(stderr, "solard: store close: %v\n", err)
-			code = 1
-		}
+		steps = append(steps, sigctx.Step{Name: "store close", Close: st.Close})
 	}
-	if err := <-served; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		pf(stderr, "solard: serve: %v\n", err)
-		code = 1
-	}
-	if code == 0 {
-		pf(stdout, "solard: drained, exiting\n")
-	}
-	return code
+	return sigctx.ServeAndDrain(ctx, "solard", &http.Server{Handler: handler}, ln,
+		*grace, srv.StartDrain, stdout, stderr, steps...)
 }

@@ -41,7 +41,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -52,7 +51,6 @@ import (
 	"strings"
 	"time"
 
-	"solarcore/internal/obs"
 	"solarcore/internal/route"
 	"solarcore/internal/sigctx"
 )
@@ -131,19 +129,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, "-checkpoint.dir must be an absolute path, got %q", *ckptDir)
 	}
 
-	var sink *obs.JSONLSink
-	switch *access {
-	case "":
-	case "-":
-		sink = obs.NewJSONLSink(stdout)
-	default:
-		f, err := os.Create(*access)
-		if err != nil {
-			return fail(stderr, "%v", err)
-		}
-		defer func() { _ = f.Close() }()
-		sink = obs.NewJSONLSink(f)
+	sink, closeAccess, err := sigctx.OpenAccess(*access, stdout)
+	if err != nil {
+		return fail(stderr, "%v", err)
 	}
+	defer closeAccess()
 
 	rt, err := route.New(route.Config{
 		Backends:      urls,
@@ -170,40 +160,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		_ = rt.Close()
 		return fail(stderr, "%v", err)
 	}
-	hs := &http.Server{Handler: rt.Handler()}
 	pf(stdout, "solargate: listening on http://%s (backends %d)\n", ln.Addr(), len(urls))
 
-	served := make(chan error, 1)
-	go func() { served <- hs.Serve(ln) }()
-
-	select {
-	case err := <-served:
-		_ = rt.Close()
-		return fail(stderr, "%v", err)
-	case <-ctx.Done():
-	}
-
-	// Same drain state machine as solard: refuse new work, stop the
-	// listener under the grace budget, then tear down the prober.
-	pf(stdout, "solargate: signal received, draining (grace %s)\n", *grace)
-	rt.StartDrain()
-	sctx, cancel := context.WithTimeout(context.Background(), *grace)
-	defer cancel()
-	code := 0
-	if err := hs.Shutdown(sctx); err != nil {
-		pf(stderr, "solargate: drain incomplete: %v\n", err)
-		code = 1
-	}
-	if err := rt.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
-		pf(stderr, "solargate: close: %v\n", err)
-		code = 1
-	}
-	if err := <-served; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		pf(stderr, "solargate: serve: %v\n", err)
-		code = 1
-	}
-	if code == 0 {
-		pf(stdout, "solargate: drained, exiting\n")
-	}
-	return code
+	// Drain like solard, then tear down the prober.
+	return sigctx.ServeAndDrain(ctx, "solargate", &http.Server{Handler: rt.Handler()}, ln,
+		*grace, rt.StartDrain, stdout, stderr, sigctx.Step{Name: "close", Close: rt.Close})
 }

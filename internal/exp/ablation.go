@@ -52,7 +52,7 @@ func ablationRun(l *Lab, label string, cfg sim.Config) AblationRow {
 	}
 	cfg.Mix = mix
 	if cfg.StepMin == 0 {
-		cfg.StepMin = l.Opts.stepMin()
+		cfg.StepMin = l.opts.stepMin()
 	}
 	var utils, errs, ptps, durs []float64
 	for _, day := range ablationDays(l) {

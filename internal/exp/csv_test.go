@@ -22,7 +22,7 @@ func parseCSV(t *testing.T, name, data string) [][]string {
 
 func TestAllCSVEmitters(t *testing.T) {
 	l := quickLab(t)
-	mixCount := len(l.Opts.Mixes())
+	mixCount := len(l.opts.Mixes())
 
 	cases := []struct {
 		name string

@@ -108,7 +108,7 @@ func TestFigures13And14(t *testing.T) {
 func TestTable7Grid(t *testing.T) {
 	l := quickLab(t)
 	tb := Table7(l)
-	if len(tb.Mixes) != len(l.Opts.Mixes()) {
+	if len(tb.Mixes) != len(l.opts.Mixes()) {
 		t.Fatalf("mix count %d", len(tb.Mixes))
 	}
 	var all []float64
@@ -230,7 +230,7 @@ func TestFigure20Buckets(t *testing.T) {
 	for _, b := range f.Buckets {
 		total += b.Samples
 	}
-	want := 16 * len(l.Opts.Mixes()) * len(MPPTPolicies)
+	want := 16 * len(l.opts.Mixes()) * len(MPPTPolicies)
 	if total > want {
 		t.Errorf("bucketed %d runs, more than grid size %d", total, want)
 	}
@@ -291,7 +291,7 @@ func TestHeadlines(t *testing.T) {
 
 func TestLabCaching(t *testing.T) {
 	l := quickLab(t)
-	m := l.Opts.Mixes()[0]
+	m := l.opts.Mixes()[0]
 	a := l.MPPT(atmos.AZ, atmos.Jan, m, "MPPT&Opt")
 	b := l.MPPT(atmos.AZ, atmos.Jan, m, "MPPT&Opt")
 	if a != b {

@@ -26,7 +26,7 @@ func AblationThermal(l *Lab) AblationResult {
 	run := func(label string, cfg sim.Config) {
 		cfg.Mix = mix
 		cfg.Day = l.Day(atmos.AZ, atmos.Jul)
-		cfg.StepMin = l.Opts.stepMin()
+		cfg.StepMin = l.opts.stepMin()
 		res, err := sim.Run(cfg, sim.MPPT("MPPT&Opt"))
 		if err != nil {
 			panic(err)
@@ -133,7 +133,7 @@ type SustainabilityResult struct {
 // Sustainability computes the study from the shared grid.
 func Sustainability(l *Lab) SustainabilityResult {
 	var res SustainabilityResult
-	mixes := l.Opts.Mixes()
+	mixes := l.opts.Mixes()
 	for _, site := range atmos.Sites {
 		gp := sustain.ProfileFor(site.Code)
 		var impacts []sustain.Impact
@@ -197,14 +197,14 @@ func MountStudy(l *Lab) MountStudyResult {
 	}
 	res := MountStudyResult{Season: atmos.Apr.String()}
 	for _, site := range atmos.Sites {
-		tr := atmos.Generate(site, atmos.Apr, atmos.GenConfig{Day: l.Opts.Day})
+		tr := atmos.Generate(site, atmos.Apr, atmos.GenConfig{Day: l.opts.Day})
 		fixedDay := l.Day(site, atmos.Apr)
 		trackedDay, err := sim.NewSolarDay(tr.WithMount(atmos.SingleAxisTracker), fixedDay.Params, 1, 1)
 		if err != nil {
 			panic(err)
 		}
 		runPTP := func(day *sim.SolarDay) (float64, float64) {
-			r, err := sim.Run(sim.Config{Day: day, Mix: mix, StepMin: l.Opts.stepMin()}, sim.MPPT("MPPT&Opt"))
+			r, err := sim.Run(sim.Config{Day: day, Mix: mix, StepMin: l.opts.stepMin()}, sim.MPPT("MPPT&Opt"))
 			if err != nil {
 				panic(err)
 			}

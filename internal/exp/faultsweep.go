@@ -54,7 +54,7 @@ func FaultSweep(opts Options, kind string) (FaultSweepResult, error) {
 		trips := 0
 		for _, policy := range MPPTPolicies {
 			var us []float64
-			for _, mix := range l.Opts.Mixes() {
+			for _, mix := range l.opts.Mixes() {
 				r := l.MPPT(atmos.AZ, atmos.Jul, mix, policy)
 				us = append(us, r.Utilization())
 				trips += r.Faults.WatchdogTrips
@@ -62,7 +62,7 @@ func FaultSweep(opts Options, kind string) (FaultSweepResult, error) {
 			row = append(row, mathx.Mean(us))
 		}
 		var us []float64
-		for _, mix := range l.Opts.Mixes() {
+		for _, mix := range l.opts.Mixes() {
 			us = append(us, l.Fixed(atmos.AZ, atmos.Jul, mix, 75).Utilization())
 		}
 		row = append(row, mathx.Mean(us))

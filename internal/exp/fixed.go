@@ -116,7 +116,7 @@ func fixedSweep(l *Lab, metric string) FixedSweepResult {
 		Budgets: FixedBudgets,
 		Norm:    map[string]map[string][]float64{},
 	}
-	mixes := l.Opts.Mixes()
+	mixes := l.opts.Mixes()
 	for _, site := range atmos.Sites {
 		res.Norm[site.Code] = map[string][]float64{}
 		for _, season := range atmos.Seasons {

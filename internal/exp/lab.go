@@ -33,8 +33,8 @@ type Options struct {
 	// Day selects the generated weather day within each period.
 	Day int
 	// Faults, when armed, applies the fault schedule to every run the lab
-	// performs; the schedule tag becomes part of the cache keys, so one
-	// lab can serve faulted and clean grids without cross-talk.
+	// performs. A lab's options are fixed at NewLab, so its cache never
+	// mixes schedules; compare schedules with one lab each.
 	Faults *fault.Schedule
 	// CacheEntries caps the lab's LRU result cache (0 takes
 	// DefaultCacheEntries; negative values clamp to 1), so unboundedly
@@ -109,7 +109,7 @@ const (
 // an obs.Registry of cache hit/miss/eviction counters and per-cell
 // wall-time histograms; Metrics exports it.
 type Lab struct {
-	Opts Options
+	opts Options
 
 	mu   sync.Mutex
 	days map[string]*sim.SolarDay
@@ -121,7 +121,7 @@ type Lab struct {
 func NewLab(opts Options) *Lab {
 	reg := obs.NewRegistry()
 	return &Lab{
-		Opts: opts,
+		opts: opts,
 		days: map[string]*sim.SolarDay{},
 		runs: lru.NewWithEvict[string, *sim.DayResult](opts.cacheEntries(),
 			func(string, *sim.DayResult) { reg.Add(MetricLabEvictions, 1) }),
@@ -143,7 +143,7 @@ func (l *Lab) Day(site atmos.Site, season atmos.Season) *sim.SolarDay {
 	}
 	l.mu.Unlock()
 
-	tr := atmos.Generate(site, season, atmos.GenConfig{Day: l.Opts.Day})
+	tr := atmos.Generate(site, season, atmos.GenConfig{Day: l.opts.Day})
 	d, err := sim.NewSolarDay(tr, pv.BP3180N(), 1, 1)
 	if err != nil {
 		panic(fmt.Sprintf("exp: building solar day %s: %v", key, err))
@@ -182,24 +182,15 @@ func (l *Lab) config(site atmos.Site, season atmos.Season, mix workload.Mix, kee
 	return sim.Config{
 		Day:        l.Day(site, season),
 		Mix:        mix,
-		StepMin:    l.Opts.stepMin(),
+		StepMin:    l.opts.stepMin(),
 		KeepSeries: keepSeries,
-		Faults:     l.Opts.Faults,
+		Faults:     l.opts.Faults,
 	}
-}
-
-// faultTag is the cache-key suffix identifying the lab's fault schedule
-// ("" when disarmed), keeping faulted and clean cells apart.
-func (l *Lab) faultTag() string {
-	if tag := l.Opts.Faults.Tag(); tag != "" {
-		return "|" + tag
-	}
-	return ""
 }
 
 // MPPT runs (or recalls) a SolarCore day under the named Table 6 policy.
 func (l *Lab) MPPT(site atmos.Site, season atmos.Season, mix workload.Mix, policy string) *sim.DayResult {
-	key := fmt.Sprintf("%s|%s|%s|%s%s", site.Code, season, mix.Name, policy, l.faultTag())
+	key := fmt.Sprintf("%s|%s|%s|%s", site.Code, season, mix.Name, policy)
 	return l.cell(key, func() *sim.DayResult {
 		r, err := sim.Run(l.config(site, season, mix, false), sim.MPPT(policy))
 		if err != nil {
@@ -221,7 +212,7 @@ func (l *Lab) MPPTSeries(site atmos.Site, season atmos.Season, mix workload.Mix,
 
 // Fixed runs (or recalls) a Fixed-Power day at the given budget.
 func (l *Lab) Fixed(site atmos.Site, season atmos.Season, mix workload.Mix, budgetW float64) *sim.DayResult {
-	key := fmt.Sprintf("%s|%s|%s|fixed%g%s", site.Code, season, mix.Name, budgetW, l.faultTag())
+	key := fmt.Sprintf("%s|%s|%s|fixed%g", site.Code, season, mix.Name, budgetW)
 	return l.cell(key, func() *sim.DayResult {
 		r, err := sim.Run(l.config(site, season, mix, false), sim.Fixed(budgetW))
 		if err != nil {
@@ -234,7 +225,7 @@ func (l *Lab) Fixed(site atmos.Site, season atmos.Season, mix workload.Mix, budg
 // Battery runs (or recalls) a battery-baseline day at the given overall
 // conversion efficiency.
 func (l *Lab) Battery(site atmos.Site, season atmos.Season, mix workload.Mix, eff float64) *sim.DayResult {
-	key := fmt.Sprintf("%s|%s|%s|bat%g%s", site.Code, season, mix.Name, eff, l.faultTag())
+	key := fmt.Sprintf("%s|%s|%s|bat%g", site.Code, season, mix.Name, eff)
 	return l.cell(key, func() *sim.DayResult {
 		r, err := sim.Run(l.config(site, season, mix, false), sim.Battery(eff))
 		if err != nil {
@@ -277,7 +268,7 @@ func (l *Lab) PrefetchContext(ctx context.Context) error {
 			}
 			// Materialize days serially first: cheap, avoids duplicate work.
 			l.Day(site, season)
-			for _, mix := range l.Opts.Mixes() {
+			for _, mix := range l.opts.Mixes() {
 				for _, p := range MPPTPolicies {
 					jobs = append(jobs, job{site, season, mix, p})
 				}

@@ -12,7 +12,7 @@ import (
 // miss with a wall-time sample, a warm cell is a hit.
 func TestLabMetrics(t *testing.T) {
 	lab := NewLab(Options{Quick: true})
-	mix := lab.Opts.Mixes()[0]
+	mix := lab.opts.Mixes()[0]
 
 	lab.MPPT(atmos.AZ, atmos.Jul, mix, "MPPT&Opt")
 	lab.MPPT(atmos.AZ, atmos.Jul, mix, "MPPT&Opt")
@@ -64,7 +64,7 @@ func TestPrefetchContextCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := lab.Metrics()
-	want := float64(len(atmos.Sites) * len(atmos.Seasons) * len(lab.Opts.Mixes()) * len(MPPTPolicies))
+	want := float64(len(atmos.Sites) * len(atmos.Seasons) * len(lab.opts.Mixes()) * len(MPPTPolicies))
 	if got := snap.Counters[MetricLabMisses]; got != want {
 		t.Errorf("prefetch misses = %v, want %v", got, want)
 	}

@@ -20,7 +20,7 @@ type Figure21Result struct {
 
 // Figure21 computes the normalized-PTP grid.
 func Figure21(l *Lab) Figure21Result {
-	mixes := l.Opts.Mixes()
+	mixes := l.opts.Mixes()
 	res := Figure21Result{
 		Series: append(append([]string{}, MPPTPolicies...), "Battery-U"),
 		Norm:   map[string]map[string][][]float64{},

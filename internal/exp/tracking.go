@@ -82,7 +82,7 @@ type Table7Result struct {
 
 // Table7 computes the full tracking-error grid under MPPT&Opt.
 func Table7(l *Lab) Table7Result {
-	mixes := l.Opts.Mixes()
+	mixes := l.opts.Mixes()
 	res := Table7Result{Err: map[string]map[string][]float64{}}
 	for _, m := range mixes {
 		res.Mixes = append(res.Mixes, m.Name)

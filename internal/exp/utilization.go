@@ -21,7 +21,7 @@ type Figure18Result struct {
 
 // Figure18 computes the utilization comparison.
 func Figure18(l *Lab) Figure18Result {
-	mixes := l.Opts.Mixes()
+	mixes := l.opts.Mixes()
 	res := Figure18Result{
 		Policies:     MPPTPolicies,
 		Util:         map[string][][]float64{},
@@ -99,7 +99,7 @@ type Figure19Result struct {
 // Figure19 computes effective operation duration under MPPT&Opt, averaged
 // over the workload grid.
 func Figure19(l *Lab) Figure19Result {
-	mixes := l.Opts.Mixes()
+	mixes := l.opts.Mixes()
 	res := Figure19Result{SolarShare: map[string][]float64{}}
 	for _, site := range atmos.Sites {
 		shares := make([]float64, len(atmos.Seasons))
@@ -161,7 +161,7 @@ func Figure20(l *Lab) Figure20Result {
 	}
 	for _, site := range atmos.Sites {
 		for _, season := range atmos.Seasons {
-			for _, mix := range l.Opts.Mixes() {
+			for _, mix := range l.opts.Mixes() {
 				for pi, policy := range MPPTPolicies {
 					run := l.MPPT(site, season, mix, policy)
 					d := run.EffectiveDuration()

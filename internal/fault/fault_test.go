@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -91,11 +90,11 @@ func TestWindowGating(t *testing.T) {
 	if s := rt.IrradianceScale(630); s >= 1 {
 		t.Errorf("mid-window full burst barely scales: %v", s)
 	}
-	if got := rt.ActiveKinds(630); len(got) != 1 || got[0] != KindCloud {
-		t.Errorf("ActiveKinds(630) = %v", got)
+	if got := rt.Active(630); len(got) != 1 || got[0].Kind() != KindCloud {
+		t.Errorf("Active(630) = %v", got)
 	}
-	if got := rt.ActiveKinds(661); got != nil {
-		t.Errorf("ActiveKinds past window = %v", got)
+	if got := rt.Active(661); got != nil {
+		t.Errorf("Active past window = %v", got)
 	}
 }
 
@@ -310,25 +309,5 @@ func TestRuntimeComposition(t *testing.T) {
 	}
 	if !rt.PowerPathActive(720) || rt.PowerPathActive(800) {
 		t.Error("PowerPathActive window gating wrong")
-	}
-}
-
-func TestScheduleTag(t *testing.T) {
-	if tag := (&Schedule{}).Tag(); tag != "" {
-		t.Errorf("disarmed schedule tag %q, want empty", tag)
-	}
-	s := NewSchedule(42,
-		&CloudBurst{W: Window{600, 660}, I: 0.8},
-		&SensorStuck{W: Window{700, 720}, I: 0}, // disarmed: excluded
-	)
-	tag := s.Tag()
-	if !strings.Contains(tag, "cloud@600-660*0.8") {
-		t.Errorf("tag %q misses the armed injector", tag)
-	}
-	if strings.Contains(tag, "sensor-stuck") {
-		t.Errorf("tag %q lists a disarmed injector", tag)
-	}
-	if s.Tag() != tag {
-		t.Error("Tag is not deterministic")
 	}
 }

@@ -26,7 +26,8 @@ const (
 	ModeSuspect
 	// ModeFallback abandons tracking for the de-rated Fixed-Power
 	// budget (Table 3 de-rating): the engine plans the chip against
-	// Derate × the clean budget and stops consulting the controller.
+	// FallbackDerate × the clean budget and stops consulting the
+	// controller.
 	ModeFallback
 	// ModeRecovering probes tracking again after the fallback hold;
 	// consecutive healthy periods graduate back to ModeTracking, one
@@ -62,24 +63,6 @@ type WatchdogConfig struct {
 	// RecoverPeriods is how many consecutive healthy probes graduate
 	// Recovering back to Tracking (default 2).
 	RecoverPeriods int
-	// Derate is the Fixed-Power fallback budget factor (default the
-	// Table 3 low-grade battery-system de-rating, 0.93 × 0.75 ≈ 0.70 —
-	// the floor a degraded standalone system still achieves).
-	//
-	// unit: ratio
-	Derate float64
-	// ErrTolerance is the relative budget-vs-settled-load mismatch
-	// beyond which a period counts unhealthy (default 0.5; clean runs
-	// sit well inside it even with the protective margin shed).
-	//
-	// unit: ratio
-	ErrTolerance float64
-	// SenseTolerance is the relative sensed-vs-actual load mismatch
-	// beyond which a period counts unhealthy (default 0.25; the
-	// configured benign sensor noise stays in single digits).
-	//
-	// unit: ratio
-	SenseTolerance float64
 }
 
 func (c *WatchdogConfig) fillDefaults() {
@@ -92,22 +75,27 @@ func (c *WatchdogConfig) fillDefaults() {
 	if c.RecoverPeriods <= 0 {
 		c.RecoverPeriods = 2
 	}
-	if c.Derate <= 0 || c.Derate > 1 {
-		c.Derate = batteryLowDerating
-	}
-	if c.ErrTolerance <= 0 {
-		c.ErrTolerance = 0.5
-	}
-	if c.SenseTolerance <= 0 {
-		c.SenseTolerance = 0.25
-	}
 }
 
-// batteryLowDerating mirrors power.BatteryLow.Derating() (Table 3,
-// low grade: 0.93 tracking × 0.75 round trip) without importing the
-// constant at runtime; the cross-package equality is pinned by
-// TestWatchdogDerateMatchesTable3.
-const batteryLowDerating = 0.93 * 0.75
+const (
+	// FallbackDerate is the Fixed-Power fallback budget factor: the
+	// Table 3 low-grade battery-system de-rating, 0.93 tracking × 0.75
+	// round trip ≈ 0.70 — the floor a degraded standalone system still
+	// achieves. It mirrors power.BatteryLow.Derating() without importing
+	// the constant at runtime; the cross-package equality is pinned by
+	// TestWatchdogDerateMatchesTable3.
+	//
+	// unit: ratio
+	FallbackDerate = 0.93 * 0.75
+	// errTolerance is the relative budget-vs-settled-load mismatch
+	// beyond which a period counts unhealthy; clean runs sit well
+	// inside it even with the protective margin shed.
+	errTolerance = 0.5
+	// senseTolerance is the relative sensed-vs-actual load mismatch
+	// beyond which a period counts unhealthy; the configured benign
+	// sensor noise stays in single digits.
+	senseTolerance = 0.25
+)
 
 // PeriodStats is one tracking period's health evidence, fed to Observe.
 type PeriodStats struct {
@@ -148,7 +136,7 @@ type PeriodStats struct {
 // conditions are chosen so a fault-free run never looks unhealthy:
 // dawn/dusk overloads (budget under twice the minimal load) and the
 // protective-margin tracking gap stay healthy.
-func (c *WatchdogConfig) Healthy(st PeriodStats) bool {
+func (st PeriodStats) Healthy() bool {
 	if st.SolverFault {
 		return false
 	}
@@ -161,12 +149,12 @@ func (c *WatchdogConfig) Healthy(st PeriodStats) bool {
 		return st.BudgetW < 2*st.MinLoadW
 	}
 	if st.BudgetW > 0 && st.BudgetW >= 2*st.MinLoadW {
-		if math.Abs(st.BudgetW-st.RaisedToW)/st.BudgetW > c.ErrTolerance {
+		if math.Abs(st.BudgetW-st.RaisedToW)/st.BudgetW > errTolerance {
 			return false // settled nowhere near the available power
 		}
 	}
 	if ref := math.Max(st.RaisedToW, st.SensedW); ref > 0 {
-		if math.Abs(st.RaisedToW-st.SensedW)/ref > c.SenseTolerance {
+		if math.Abs(st.RaisedToW-st.SensedW)/ref > senseTolerance {
 			return false // the sensors and the chip disagree wildly
 		}
 	}
@@ -221,7 +209,7 @@ func (w *Watchdog) RecoveryMin() float64 { return w.recoveryMin }
 // for periods that actually ran the tracking controller (Tracking,
 // Suspect, Recovering); fallback periods go through ObserveFallback.
 func (w *Watchdog) Observe(st PeriodStats) Mode {
-	healthy := w.cfg.Healthy(st)
+	healthy := st.Healthy()
 	switch w.mode {
 	case ModeTracking:
 		if !healthy {

@@ -25,11 +25,8 @@ func sickStats(minute float64) PeriodStats {
 func TestWatchdogDerateMatchesTable3(t *testing.T) {
 	// The fallback de-rating is pinned to the Table 3 low-grade battery
 	// system product tracked in internal/power.
-	if got, want := batteryLowDerating, power.BatteryLow.Derating(); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("batteryLowDerating = %v, power.BatteryLow.Derating() = %v", got, want)
-	}
-	if cfg := NewWatchdog(WatchdogConfig{}).Config(); cfg.Derate != batteryLowDerating {
-		t.Fatalf("default Derate = %v, want %v", cfg.Derate, batteryLowDerating)
+	if got, want := FallbackDerate, power.BatteryLow.Derating(); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("FallbackDerate = %v, power.BatteryLow.Derating() = %v", got, want)
 	}
 }
 
@@ -46,28 +43,27 @@ func TestWatchdogStaysTrackingWhenHealthy(t *testing.T) {
 }
 
 func TestHealthyPredicateCleanEdgeCases(t *testing.T) {
-	cfg := NewWatchdog(WatchdogConfig{}).Config()
 	// Dawn/dusk overload: thin budget makes an overload legitimate.
-	if !cfg.Healthy(PeriodStats{Minute: 0, Overload: true, BudgetW: 15, MinLoadW: 10, MaxSteps: 512}) {
+	if !(PeriodStats{Minute: 0, Overload: true, BudgetW: 15, MinLoadW: 10, MaxSteps: 512}).Healthy() {
 		t.Error("dawn overload with thin budget judged unhealthy")
 	}
 	// Overload with a comfortable budget is a fault.
-	if cfg.Healthy(PeriodStats{Minute: 0, Overload: true, BudgetW: 100, MinLoadW: 10, MaxSteps: 512}) {
+	if (PeriodStats{Minute: 0, Overload: true, BudgetW: 100, MinLoadW: 10, MaxSteps: 512}).Healthy() {
 		t.Error("overload with comfortable budget judged healthy")
 	}
 	// Protective-margin tracking gap stays healthy.
-	if !cfg.Healthy(PeriodStats{Minute: 0, Steps: 30, MaxSteps: 512,
-		RaisedToW: 70, SensedW: 69, BudgetW: 100, MinLoadW: 10}) {
+	if !(PeriodStats{Minute: 0, Steps: 30, MaxSteps: 512,
+		RaisedToW: 70, SensedW: 69, BudgetW: 100, MinLoadW: 10}).Healthy() {
 		t.Error("margin-sized tracking gap judged unhealthy")
 	}
 	// Non-convergence: effort cap exhausted.
-	if cfg.Healthy(PeriodStats{Minute: 0, Steps: 512, MaxSteps: 512,
-		RaisedToW: 90, SensedW: 88, BudgetW: 100, MinLoadW: 10}) {
+	if (PeriodStats{Minute: 0, Steps: 512, MaxSteps: 512,
+		RaisedToW: 90, SensedW: 88, BudgetW: 100, MinLoadW: 10}).Healthy() {
 		t.Error("step-cap exhaustion judged healthy")
 	}
 	// Solver fault is always unhealthy.
-	if cfg.Healthy(PeriodStats{Minute: 0, SolverFault: true, MaxSteps: 512,
-		RaisedToW: 90, SensedW: 88, BudgetW: 100, MinLoadW: 10}) {
+	if (PeriodStats{Minute: 0, SolverFault: true, MaxSteps: 512,
+		RaisedToW: 90, SensedW: 88, BudgetW: 100, MinLoadW: 10}).Healthy() {
 		t.Error("solver fault judged healthy")
 	}
 }

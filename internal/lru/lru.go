@@ -19,13 +19,12 @@ type node[K comparable, V any] struct {
 // Cache is a fixed-capacity LRU map. The zero value is not usable; build
 // one with New or NewWithEvict. All methods are safe for concurrent use.
 type Cache[K comparable, V any] struct {
-	mu        sync.Mutex
-	capacity  int
-	m         map[K]*node[K, V]
-	head      *node[K, V] // most recently used
-	tail      *node[K, V] // least recently used
-	evictions uint64
-	onEvict   func(K, V)
+	mu       sync.Mutex
+	capacity int
+	m        map[K]*node[K, V]
+	head     *node[K, V] // most recently used
+	tail     *node[K, V] // least recently used
+	onEvict  func(K, V)
 }
 
 // New builds a cache holding at most capacity entries. It panics on a
@@ -122,7 +121,6 @@ func (c *Cache[K, V]) Put(key K, val V) {
 		lru := c.tail
 		c.unlink(lru)
 		delete(c.m, lru.key)
-		c.evictions++
 		if c.onEvict != nil {
 			c.onEvict(lru.key, lru.val)
 		}
@@ -130,10 +128,9 @@ func (c *Cache[K, V]) Put(key K, val V) {
 }
 
 // Remove deletes the entry stored under key, reporting whether it was
-// present. Removal is not an eviction: the onEvict hook does not run and
-// the eviction counter does not move — callers (internal/store's
-// byte-budget sweep, quarantine of a corrupt record) account for the
-// entry themselves.
+// present. Removal is not an eviction: the onEvict hook does not run —
+// callers (internal/store's byte-budget sweep, quarantine of a corrupt
+// record) account for the entry themselves.
 func (c *Cache[K, V]) Remove(key K) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -169,14 +166,6 @@ func (c *Cache[K, V]) Len() int {
 
 // Cap returns the fixed capacity.
 func (c *Cache[K, V]) Cap() int { return c.capacity }
-
-// Evictions returns the number of entries displaced by capacity pressure
-// over the cache's lifetime.
-func (c *Cache[K, V]) Evictions() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
-}
 
 // Keys returns the keys from most to least recently used — an O(n)
 // diagnostic for tests and eviction-order assertions.

@@ -21,11 +21,17 @@ import (
 	"solarcore/internal/sched"
 )
 
+const (
+	// vTolerance is the relative band around the nominal rail voltage
+	// that Step 1 and Step 3 restore into.
+	vTolerance = 0.02
+	// minGain is the relative output-power improvement below which the
+	// hill climb declares the inflection point.
+	minGain = 0.002
+)
+
 // Config tunes the controller.
 type Config struct {
-	// VTolerance is the relative band around the nominal rail voltage that
-	// Step 1 and Step 3 restore into (default 2 %).
-	VTolerance float64
 	// MarginSteps is how many DVFS steps of load the controller sheds after
 	// reaching the inflection point, leaving the protective power margin of
 	// Section 4.3 (default 1).
@@ -34,9 +40,6 @@ type Config struct {
 	// (default 512) — the paper observes <5 ms of tracking per 10-minute
 	// period; this is the corresponding effort cap.
 	MaxSteps int
-	// MinGain is the relative output-power improvement below which the hill
-	// climb declares the inflection point (default 0.2 %).
-	MinGain float64
 	// SensorError injects measurement noise: every I/V sensor reading is
 	// scaled by an independent uniform factor in [1−e, 1+e]. Zero means
 	// ideal sensors. The noise stream is deterministic per controller.
@@ -67,17 +70,11 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.VTolerance <= 0 {
-		c.VTolerance = 0.02
-	}
 	if c.MarginSteps < 0 {
 		c.MarginSteps = 0
 	}
 	if c.MaxSteps <= 0 {
 		c.MaxSteps = 512
-	}
-	if c.MinGain <= 0 {
-		c.MinGain = 0.002
 	}
 }
 
@@ -256,7 +253,7 @@ func (c *Controller) track(env pv.Env, minute float64) Result {
 		// the ratio is still far below the MPP (the direction probe says
 		// "keep climbing"). Stop only when the probe has reversed AND the
 		// climb has stopped paying — the paper's inflection point.
-		if op.PLoad > prev.PLoad*(1+c.Cfg.MinGain) {
+		if op.PLoad > prev.PLoad*(1+minGain) {
 			atPeak = 0
 			continue
 		}
@@ -327,8 +324,8 @@ func (c *Controller) scanRatio(env pv.Env, minute float64, steps *int) {
 // unit: minute=min
 func (c *Controller) restoreRail(env pv.Env, minute float64, steps *int) (power.Operating, bool) {
 	vNom := c.Circuit.VNominal
-	hi := vNom * (1 + c.Cfg.VTolerance)
-	lo := vNom * (1 - c.Cfg.VTolerance)
+	hi := vNom * (1 + vTolerance)
+	lo := vNom * (1 - vTolerance)
 
 	lastDir, flips, zeroProbes := 0, 0, 0
 	for *steps < c.Cfg.MaxSteps {

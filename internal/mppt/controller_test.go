@@ -197,7 +197,7 @@ func TestTrackPropertyNeverExceedsAvailable(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	var cfg Config
 	cfg.fillDefaults()
-	if cfg.VTolerance != 0.02 || cfg.MaxSteps != 512 || cfg.MinGain != 0.002 {
+	if vTolerance != 0.02 || cfg.MaxSteps != 512 || minGain != 0.002 {
 		t.Errorf("defaults wrong: %+v", cfg)
 	}
 	neg := Config{MarginSteps: -2}

@@ -90,16 +90,3 @@ func (c *Circuit) OperateAtDemand(env pv.Env, pWatts float64) Operating {
 func (c *Circuit) AvailableMax(env pv.Env) float64 {
 	return c.Gen.MPP(env).P * c.Conv.Efficiency
 }
-
-// MatchedRatio returns the converter ratio that would place the panel at
-// its MPP voltage while holding the rail at nominal — useful as an initial
-// k and in tests; the tracker itself discovers this point by perturbation.
-//
-// unit: ratio
-func (c *Circuit) MatchedRatio(env pv.Env) float64 {
-	mpp := c.Gen.MPP(env)
-	if mpp.V <= 0 {
-		return c.Conv.K
-	}
-	return mpp.V / c.VNominal
-}

@@ -53,11 +53,6 @@ func (c *Converter) Validate() error {
 // unit: vPanel=V, return=V
 func (c *Converter) LoadVoltage(vPanel float64) float64 { return vPanel / c.K }
 
-// PanelVoltage returns the panel-side voltage for a load-side voltage.
-//
-// unit: vLoad=V, return=V
-func (c *Converter) PanelVoltage(vLoad float64) float64 { return vLoad * c.K }
-
 // LoadCurrent returns the load-side current for a panel-side current, with
 // the conversion loss charged to the current path so that power is
 // conserved up to Efficiency.
@@ -101,15 +96,3 @@ func (c *Converter) SetRatio(k float64) {
 	}
 	c.K = k
 }
-
-// Reading is one I/V sensor sample at the load rail (the feedback input of
-// the SolarCore controller in Figure 8).
-type Reading struct {
-	V float64 // volts
-	I float64 // amperes
-}
-
-// Power returns the sensed power V·I.
-//
-// unit: W
-func (r Reading) Power() float64 { return r.V * r.I }

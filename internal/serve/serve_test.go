@@ -412,6 +412,38 @@ func TestRunDeadlineMapsTo504(t *testing.T) {
 	}
 }
 
+// TestRunDeadlineClamp pins how a request's timeout_ms becomes the run
+// deadline: a shorter request is honored as is, a longer one is clamped
+// to twice the server's RunTimeout.
+func TestRunDeadlineClamp(t *testing.T) {
+	s, ts := newTestServer(t, Config{RunTimeout: 10 * time.Second})
+	left := make(chan time.Duration, 1)
+	s.runSpec = func(ctx context.Context, spec solarcore.RunSpec, _ obs.Observer) (*solarcore.DayResult, error) {
+		deadline, ok := ctx.Deadline()
+		if !ok {
+			t.Error("run context carries no deadline")
+		}
+		left <- time.Until(deadline)
+		return fakeResult("clamped"), nil
+	}
+	cases := []struct {
+		day, timeoutMs int
+		want           time.Duration
+	}{
+		{1, 60000, 20 * time.Second},
+		{2, 2000, 2 * time.Second},
+	}
+	for _, tc := range cases {
+		body := fmt.Sprintf(`{"step_min":8,"day":%d,"timeout_ms":%d}`, tc.day, tc.timeoutMs)
+		if resp, data := postJSON(t, ts, "/v1/run", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("timeout_ms=%d: status = %d; body: %s", tc.timeoutMs, resp.StatusCode, data)
+		}
+		if got := <-left; got > tc.want || got < tc.want-time.Second {
+			t.Errorf("timeout_ms=%d: deadline %v out, want about %v", tc.timeoutMs, got, tc.want)
+		}
+	}
+}
+
 // TestCacheEvictionOrderThroughServer drives a 2-entry result cache with
 // three distinct specs: the oldest untouched spec must be the one evicted
 // and re-simulated, while the recently-read one replays from cache.

@@ -7,6 +7,8 @@
 // disposition (signal.Reset inside stop). Each is the one
 // context-bounded worker pool behind solarfleet's days, the experiment
 // lab's prefetch grid and both servers' /v1/sweep fan-out.
+// ServeAndDrain is the one shutdown state machine of solard and
+// solargate, and OpenAccess opens their -access sink.
 package sigctx
 
 import (

@@ -149,7 +149,7 @@ func (tr *tracker) period(t0 float64) {
 		// de-rating of the actually-available power) and the controller
 		// is left alone until the hold elapses. The thermal governor is
 		// not advanced: fallback runs well below the clean budget.
-		tr.fallback.budgetW = tr.fx.wd.Config().Derate * tr.budget.at(t0)
+		tr.fallback.budgetW = fault.FallbackDerate * tr.budget.at(t0)
 		tr.fallback.period(t0)
 		return
 	}
@@ -270,7 +270,7 @@ func (tr *tracker) endPeriod(t0 float64) {
 			RaisedToW: tr.track.RaisedTo, SensedW: tr.track.Op.PLoad,
 			BudgetW: tr.trackBudget, MinLoadW: tr.ctrl.Chip.MinPower(t0),
 			SolverFault: tr.solverErr != nil,
-		}, tr.fx.wd.Config().Derate*tr.trackBudget)
+		}, fault.FallbackDerate*tr.trackBudget)
 	}
 }
 

@@ -51,11 +51,11 @@ echo '== solarvet -json report (artifacts/solarvet-report.json)'
 mkdir -p artifacts
 go run ./cmd/solarvet -json > artifacts/solarvet-report.json
 
-echo '== go test -race (root, exp, sim, dc, obs, fault, lint, lru, serve, route, edge, sigctx, client, store, stream, chaos, solarfleet, solargate)'
+echo '== go test -race (root, exp, sim, dc, obs, fault, lint, lru, serve, route, edge, sigctx, client, store, stream, chaos, solarfleet, solargate, solard)'
 go test -race . ./internal/exp ./internal/sim ./internal/dc ./internal/obs \
     ./internal/fault ./internal/lint ./internal/lru ./internal/serve \
     ./internal/route ./internal/edge ./internal/sigctx ./client ./internal/store \
-    ./internal/stream ./internal/chaos ./cmd/solarfleet ./cmd/solargate
+    ./internal/stream ./internal/chaos ./cmd/solarfleet ./cmd/solargate ./cmd/solard
 
 echo '== fault sweep (smoke)'
 go test -run 'TestFaultSweepSensorDropout' ./internal/exp
