@@ -7,6 +7,7 @@
 package solarcore_test
 
 import (
+	"context"
 	"testing"
 
 	"solarcore"
@@ -298,4 +299,49 @@ func BenchmarkWeatherGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		solarcore.GenerateWeather(solarcore.NC, solarcore.Apr, i)
 	}
+}
+
+// specDay hands every spec benchmark iteration a weather day no earlier
+// iteration (of any benchmark round) used, so each one pays the full
+// weather synthesis and SolarDay build, as a never-seen request does.
+var specDay = 1_000_000
+
+// BenchmarkSpecRun is the full uncached RunSpec.Run — spec resolution,
+// weather synthesis, the SolarDay build and the 1-minute MPPT day — on a
+// new day every iteration: the in-process cost of solard's fill path.
+func BenchmarkSpecRun(b *testing.B) {
+	ctx := context.Background()
+	for i := 0; i < b.N; i++ {
+		specDay++
+		if _, err := (solarcore.RunSpec{Day: specDay}).Run(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSpecRunSweepBatch runs one /v1/sweep-shaped batch per
+// iteration: Fixed-Power and the three Table 6 policies over the ten
+// Table 5 mixes, 40 specs on one new weather day at 8-minute steps.
+// ns/run is the batch cost per delivered run.
+func BenchmarkSpecRunSweepBatch(b *testing.B) {
+	ctx := context.Background()
+	for i := 0; i < b.N; i++ {
+		specDay++
+		base := solarcore.RunSpec{Site: "NC", Season: "Apr", Day: specDay, StepMin: 8}
+		for _, m := range solarcore.Mixes() {
+			fixed := base
+			fixed.Mix, fixed.FixedW = m.Name, 90
+			if _, err := fixed.Run(ctx); err != nil {
+				b.Fatal(err)
+			}
+			for _, p := range solarcore.Policies() {
+				s := base
+				s.Mix, s.Policy = m.Name, p
+				if _, err := s.Run(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*4*len(solarcore.Mixes())), "ns/run")
 }

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"solarcore/internal/atmos"
@@ -18,7 +17,6 @@ import (
 	"solarcore/internal/lru"
 	"solarcore/internal/obs"
 	"solarcore/internal/power"
-	"solarcore/internal/pv"
 	"solarcore/internal/sigctx"
 	"solarcore/internal/sim"
 	"solarcore/internal/workload"
@@ -94,25 +92,30 @@ const (
 	// milliseconds (cache misses only — hits cost no simulation).
 	MetricLabCellMs = "lab_cell_wall_ms"
 	// MetricLabDays counts solar days materialized (weather synthesis +
-	// MPP profile precomputation).
-	MetricLabDays = "lab_days_built_total"
+	// MPP profile precomputation): the build counter of the lab's day
+	// cache, which Metrics exports next to its hit and eviction counters.
+	MetricLabDays = sim.MetricDayBuilds
 	// MetricLabEvictions counts grid cells displaced from the bounded
 	// result cache by capacity pressure (Options.CacheEntries).
 	MetricLabEvictions = "lab_cache_evictions_total"
 )
 
+// labDays sizes a lab's day cache for the whole site × season grid, so
+// the paper's experiments build each of their days once.
+const labDays = 16
+
 // Lab caches solar days and simulation runs so that the many experiments
 // sharing the site × season × mix × policy grid compute each run once. All
-// methods are safe for concurrent use. The run cache is a bounded LRU
+// methods are safe for concurrent use. Days come from a sim.DayCache
+// sized for the site × season grid. The run cache is a bounded LRU
 // (Options.CacheEntries), so arbitrarily long sweeps stay within a fixed
 // memory budget at the price of recomputing evicted cells. The lab keeps
 // an obs.Registry of cache hit/miss/eviction counters and per-cell
-// wall-time histograms; Metrics exports it.
+// wall-time histograms; Metrics exports it with the day cache's counters.
 type Lab struct {
 	opts Options
 
-	mu   sync.Mutex
-	days map[string]*sim.SolarDay
+	days *sim.DayCache
 	runs *lru.Cache[string, *sim.DayResult]
 	reg  *obs.Registry
 }
@@ -122,36 +125,27 @@ func NewLab(opts Options) *Lab {
 	reg := obs.NewRegistry()
 	return &Lab{
 		opts: opts,
-		days: map[string]*sim.SolarDay{},
+		days: sim.NewDayCache(labDays),
 		runs: lru.NewWithEvict[string, *sim.DayResult](opts.cacheEntries(),
 			func(string, *sim.DayResult) { reg.Add(MetricLabEvictions, 1) }),
 		reg: reg,
 	}
 }
 
-// Metrics exports the lab's cache and wall-time metrics.
-func (l *Lab) Metrics() obs.Snapshot { return l.reg.Snapshot() }
+// Metrics exports the lab's cache and wall-time metrics together with
+// its day cache's build, hit and eviction counters.
+func (l *Lab) Metrics() obs.Snapshot {
+	return obs.MergeSnapshots(l.reg.Snapshot(), l.days.Metrics())
+}
 
 // Day returns the (cached) solar day for a site and season: the synthetic
-// weather trace bound to one BP3180N module.
+// weather trace of the lab's weather-day index bound to one BP3180N
+// module. Concurrent first calls for one key share a single build.
 func (l *Lab) Day(site atmos.Site, season atmos.Season) *sim.SolarDay {
-	key := site.Code + season.String()
-	l.mu.Lock()
-	if d, ok := l.days[key]; ok {
-		l.mu.Unlock()
-		return d
-	}
-	l.mu.Unlock()
-
-	tr := atmos.Generate(site, season, atmos.GenConfig{Day: l.opts.Day})
-	d, err := sim.NewSolarDay(tr, pv.BP3180N(), 1, 1)
+	d, err := l.days.Get(site, season, l.opts.Day, 1)
 	if err != nil {
-		panic(fmt.Sprintf("exp: building solar day %s: %v", key, err))
+		panic(fmt.Sprintf("exp: building solar day %s %s: %v", site.Code, season, err))
 	}
-	l.reg.Add(MetricLabDays, 1)
-	l.mu.Lock()
-	l.days[key] = d
-	l.mu.Unlock()
 	return d
 }
 
@@ -266,8 +260,6 @@ func (l *Lab) PrefetchContext(ctx context.Context) error {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("exp: prefetch canceled: %w", err)
 			}
-			// Materialize days serially first: cheap, avoids duplicate work.
-			l.Day(site, season)
 			for _, mix := range l.opts.Mixes() {
 				for _, p := range MPPTPolicies {
 					jobs = append(jobs, job{site, season, mix, p})

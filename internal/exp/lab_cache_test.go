@@ -2,8 +2,10 @@ package exp
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
+	"solarcore/internal/atmos"
 	"solarcore/internal/sim"
 )
 
@@ -50,5 +52,31 @@ func TestLabCacheDefaultsAndClamps(t *testing.T) {
 	}
 	if got := (Options{CacheEntries: 7}).cacheEntries(); got != 7 {
 		t.Errorf("explicit CacheEntries = %d, want 7", got)
+	}
+}
+
+// TestLabDayBuildsOnceUnderConcurrentMisses races many first callers of
+// one site and season: they must share one build, so every caller gets
+// the same day and MetricLabDays reads 1.
+func TestLabDayBuildsOnceUnderConcurrentMisses(t *testing.T) {
+	l := NewLab(Options{Quick: true})
+	const n = 16
+	days := make([]*sim.SolarDay, n)
+	var wg sync.WaitGroup
+	for i := range days {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			days[i] = l.Day(atmos.CO, atmos.Oct)
+		}(i)
+	}
+	wg.Wait()
+	for i, d := range days {
+		if d != days[0] {
+			t.Fatalf("caller %d got a different day than caller 0", i)
+		}
+	}
+	if got := l.Metrics().Counters[MetricLabDays]; got != 1 {
+		t.Errorf("%s = %g after %d concurrent first calls, want 1", MetricLabDays, got, n)
 	}
 }

@@ -100,6 +100,14 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	return n.val, true
 }
 
+// Contains reports whether key is present, without promoting it.
+func (c *Cache[K, V]) Contains(key K) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.m[key]
+	return ok
+}
+
 // Put stores val under key as the most recently used entry, evicting the
 // least recently used entry when the cache is over capacity. Overwriting
 // an existing key promotes it and never evicts.
@@ -114,6 +122,31 @@ func (c *Cache[K, V]) Put(key K, val V) {
 		}
 		return
 	}
+	c.insert(key, val)
+}
+
+// GetOrPut returns the value stored under key, promoted as by Get, with
+// loaded true; when key is absent it stores val as by Put and returns it
+// with loaded false. The lookup and the insert share one lock hold, so
+// of several concurrent callers for one absent key exactly one stores
+// its value and every other caller gets that value back.
+func (c *Cache[K, V]) GetOrPut(key K, val V) (actual V, loaded bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n, ok := c.m[key]; ok {
+		if c.head != n {
+			c.unlink(n)
+			c.pushFront(n)
+		}
+		return n.val, true
+	}
+	c.insert(key, val)
+	return val, false
+}
+
+// insert adds an absent key as the most recently used entry and evicts
+// the least recently used one when over capacity. c.mu must be held.
+func (c *Cache[K, V]) insert(key K, val V) {
 	n := &node[K, V]{key: key, val: val}
 	c.m[key] = n
 	c.pushFront(n)

@@ -195,6 +195,76 @@ func TestZeroCapacityPanics(t *testing.T) {
 	New[int, int](0)
 }
 
+// TestContainsDoesNotPromote checks Contains leaves recency alone: the
+// entry it found is still the one evicted next.
+func TestContainsDoesNotPromote(t *testing.T) {
+	c := New[string, int](2)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	if !c.Contains("a") || c.Contains("z") {
+		t.Fatal("Contains disagrees with the stored keys")
+	}
+	c.Put("c", 3)
+	if c.Contains("a") {
+		t.Error("a survived past capacity; Contains must not promote")
+	}
+}
+
+// TestGetOrPutStoresOnceAndPromotes pins GetOrPut's two outcomes: an
+// absent key stores the offered value (evicting as Put does), a present
+// key returns the stored value, promoted, and ignores the offer.
+func TestGetOrPutStoresOnceAndPromotes(t *testing.T) {
+	c, evictions := countingCache(2)
+	if v, loaded := c.GetOrPut("a", 1); loaded || v != 1 {
+		t.Fatalf("GetOrPut(a, 1) on empty cache = %d, %t; want 1, false", v, loaded)
+	}
+	c.Put("b", 2)
+	if v, loaded := c.GetOrPut("a", 9); !loaded || v != 1 {
+		t.Fatalf("GetOrPut(a, 9) = %d, %t; want the stored 1, true", v, loaded)
+	}
+	c.GetOrPut("c", 3) // a was promoted, so b is the one evicted
+	if got := c.Keys(); fmt.Sprint(got) != "[c a]" {
+		t.Errorf("Keys() = %v, want [c a]", got)
+	}
+	if *evictions != 1 {
+		t.Errorf("evictions = %d, want 1", *evictions)
+	}
+}
+
+// TestGetOrPutRaceStoresOneValue races many callers offering different
+// values for one absent key: all of them must get the same value back,
+// and exactly one of them must see loaded false.
+func TestGetOrPutRaceStoresOneValue(t *testing.T) {
+	c := New[string, int](4)
+	const n = 16
+	got := make([]int, n)
+	var stored sync.WaitGroup
+	var mu sync.Mutex
+	winners := 0
+	for w := 0; w < n; w++ {
+		stored.Add(1)
+		go func(w int) {
+			defer stored.Done()
+			v, loaded := c.GetOrPut("k", w)
+			got[w] = v
+			if !loaded {
+				mu.Lock()
+				winners++
+				mu.Unlock()
+			}
+		}(w)
+	}
+	stored.Wait()
+	if winners != 1 {
+		t.Errorf("%d callers stored a value, want exactly 1", winners)
+	}
+	for w, v := range got {
+		if v != got[0] {
+			t.Fatalf("caller %d got %d, caller 0 got %d; want one shared value", w, v, got[0])
+		}
+	}
+}
+
 // TestConcurrentAccess hammers one small cache from many goroutines; run
 // under -race it is the package's concurrency-safety gate, and the final
 // invariant checks the map and list never diverge.

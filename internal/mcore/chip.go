@@ -1,11 +1,21 @@
 package mcore
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Activity is the instantaneous execution behaviour a core observes from
 // the program it runs: an IPC (committed instructions per cycle) and an
 // effective switched capacitance (nF) that set throughput and dynamic
 // power. Package workload provides phase-varying implementations.
+//
+// Demand must be a pure function of minute: a Chip remembers each core's
+// last (minute, ipc, ceff) and answers repeated queries for the same
+// minute from that memo without calling Demand again. An implementation
+// whose answers can change — workload.TraceActivity exposes its IPC and
+// CeffNF slices — must not be mutated while a chip runs it; install the
+// changed activity again with SetActivity, which clears the memo.
 type Activity interface {
 	// Demand returns the activity seen at a simulation minute.
 	//
@@ -32,9 +42,9 @@ const Gated = -1
 // activity, with power and throughput evaluation at arbitrary simulation
 // times. It is a pure model — no goroutines, no wall-clock.
 type Chip struct {
-	cfg      Config
-	levels   []int
-	activity []Activity
+	cfg    Config
+	levels []int
+	cores  []coreActivity
 	// caps bounds each core's reachable operating point: top (the
 	// default) is unconstrained, Gated marks a failed core forced off.
 	// The fault-injection layer (internal/fault) drives this; nil means
@@ -51,14 +61,43 @@ func NewChip(cfg Config) (*Chip, error) {
 		return nil, err
 	}
 	c := &Chip{
-		cfg:      cfg,
-		levels:   make([]int, cfg.Cores),
-		activity: make([]Activity, cfg.Cores),
+		cfg:    cfg,
+		levels: make([]int, cfg.Cores),
+		cores:  make([]coreActivity, cfg.Cores),
 	}
-	for i := range c.activity {
-		c.activity[i] = ConstantActivity{IPC: 1, CeffNF: 2.5}
+	for i := range c.cores {
+		c.cores[i].act = ConstantActivity{IPC: 1, CeffNF: 2.5}
 	}
 	return c, nil
+}
+
+// coreActivity is the program one core runs plus a one-entry memo of its
+// last Demand. Power, throughput, MinPower/MaxPower and the TPR probes
+// ask for the same minute many times per tick, and Demand is pure in
+// minute, so the memo returns the very float64s a fresh call would.
+type coreActivity struct {
+	act Activity
+	// memo reports whether minute, ipc and ceff hold an answer of act.
+	memo      bool
+	minute    float64
+	ipc, ceff float64
+}
+
+// set installs act and empties the memo.
+func (a *coreActivity) set(act Activity) {
+	a.act, a.memo = act, false
+}
+
+// demand returns act.Demand(minute), from the memo when it holds the
+// bit-identical minute.
+//
+// unit: minute=min, ipc=instr, ceff=F
+func (a *coreActivity) demand(minute float64) (ipc, ceff float64) {
+	if !a.memo || math.Float64bits(minute) != math.Float64bits(a.minute) {
+		a.ipc, a.ceff = a.act.Demand(minute)
+		a.memo, a.minute = true, minute
+	}
+	return a.ipc, a.ceff
 }
 
 // MustNewChip is NewChip for known-good configurations; it panics on error.
@@ -155,7 +194,8 @@ func (c *Chip) SetAllLevels(level int) error {
 	return nil
 }
 
-// SetActivity assigns the program behaviour a core executes.
+// SetActivity assigns the program behaviour a core executes and clears
+// the core's Demand memo.
 func (c *Chip) SetActivity(core int, a Activity) error {
 	if core < 0 || core >= c.cfg.Cores {
 		return fmt.Errorf("mcore: core %d out of range", core)
@@ -163,7 +203,7 @@ func (c *Chip) SetActivity(core int, a Activity) error {
 	if a == nil {
 		return fmt.Errorf("mcore: nil activity for core %d", core)
 	}
-	c.activity[core] = a
+	c.cores[core].set(a)
 	return nil
 }
 
@@ -212,7 +252,7 @@ func (c *Chip) CorePower(core int, minute float64) float64 {
 	if lvl == Gated {
 		return 0
 	}
-	_, ceff := c.activity[core].Demand(minute)
+	_, ceff := c.cores[core].demand(minute)
 	p := c.cfg.Points[lvl]
 	base := ceff*p.VoltV*p.VoltV*p.FreqGHz + c.cfg.LeakWPerV*p.VoltV + c.cfg.ActiveWatts
 	return base * c.cfg.classOf(core).Power
@@ -238,7 +278,7 @@ func (c *Chip) CoreThroughput(core int, minute float64) float64 {
 	if lvl == Gated {
 		return 0
 	}
-	ipc, _ := c.activity[core].Demand(minute)
+	ipc, _ := c.cores[core].demand(minute)
 	return ipc * c.cfg.Points[lvl].FreqGHz * c.cfg.classOf(core).Perf
 }
 

@@ -327,3 +327,70 @@ func TestTPRDownOrdering(t *testing.T) {
 		t.Error("gated TPRDown should be 0")
 	}
 }
+
+// countingActivity is a phase-varying Activity that counts its Demand
+// calls.
+type countingActivity struct{ calls *int }
+
+func (a countingActivity) Demand(minute float64) (ipc, ceffNF float64) {
+	*a.calls++
+	return 1 + math.Sin(minute), 2 + math.Cos(minute)
+}
+
+// TestDemandMemo pins the per-core Demand memo: every query for one
+// minute — power, throughput, the TPR probes — costs one Demand call per
+// core and returns what Demand returns; a new minute calls again, and
+// SetActivity clears the memo so a changed activity is seen at once.
+func TestDemandMemo(t *testing.T) {
+	c := newTestChip(t)
+	calls := 0
+	for i := 0; i < c.NumCores(); i++ {
+		if err := c.SetActivity(i, countingActivity{&calls}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.SetAllLevels(2); err != nil {
+		t.Fatal(err)
+	}
+	const minute = 612.5
+	ipc, ceff := countingActivity{new(int)}.Demand(minute)
+	p := c.cfg.Points[2]
+	wantCore := ceff*p.VoltV*p.VoltV*p.FreqGHz + c.cfg.LeakWPerV*p.VoltV + c.cfg.ActiveWatts
+	for round := 0; round < 3; round++ {
+		if got := c.CorePower(0, minute); got != wantCore {
+			t.Fatalf("round %d: CorePower = %v, want %v", round, got, wantCore)
+		}
+		if got := c.CoreThroughput(0, minute); got != ipc*p.FreqGHz {
+			t.Fatalf("round %d: CoreThroughput = %v, want %v", round, got, ipc*p.FreqGHz)
+		}
+		c.Power(minute)
+		c.MaxPower(minute)
+		c.TPRUp(3, minute)
+	}
+	if calls != c.NumCores() {
+		t.Errorf("Demand called %d times for one minute, want once per core (%d)", calls, c.NumCores())
+	}
+	c.Power(minute + 1)
+	if calls != 2*c.NumCores() {
+		t.Errorf("Demand called %d times over two minutes, want %d", calls, 2*c.NumCores())
+	}
+
+	trace := []float64{1.5}
+	if err := c.SetActivity(0, traceLike{trace}); err != nil {
+		t.Fatal(err)
+	}
+	before := c.CoreThroughput(0, minute)
+	trace[0] = 3 // a changed profile takes effect once it is installed again
+	if err := c.SetActivity(0, traceLike{trace}); err != nil {
+		t.Fatal(err)
+	}
+	if after := c.CoreThroughput(0, minute); after != 2*before {
+		t.Errorf("throughput after re-installing the changed activity = %v, want %v", after, 2*before)
+	}
+}
+
+// traceLike reads its IPC from a caller-owned slice, like
+// workload.TraceActivity.
+type traceLike struct{ ipc []float64 }
+
+func (a traceLike) Demand(float64) (ipc, ceffNF float64) { return a.ipc[0], 2.5 }

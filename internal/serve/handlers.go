@@ -157,12 +157,12 @@ func (s *Server) handlePolicies(w http.ResponseWriter, _ *http.Request) {
 	edge.WriteJSON(w, http.StatusOK, client.PoliciesResponse{Policies: solarcore.Policies()})
 }
 
-// handleMetrics serves GET /metrics: the obs.Registry snapshot as
-// indented JSON.
+// handleMetrics serves GET /metrics: the Metrics snapshot as indented
+// JSON.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	// A late encode failure cannot reach the client; dropped deliberately.
-	_ = s.reg.Snapshot().WriteJSON(w)
+	_ = s.Metrics().WriteJSON(w)
 }
 
 // handleHealthz serves GET /healthz: 200 while serving, 503 once

@@ -226,8 +226,12 @@ func New(cfg Config) *Server {
 // Handler returns the route table, panic-contained and instrumented.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Metrics snapshots the server's registry.
-func (s *Server) Metrics() obs.Snapshot { return s.reg.Snapshot() }
+// Metrics snapshots the server's registry merged with the counters of
+// the process-wide day cache its runs build their days through
+// (solarcore.DayCacheMetrics).
+func (s *Server) Metrics() obs.Snapshot {
+	return obs.MergeSnapshots(s.reg.Snapshot(), solarcore.DayCacheMetrics())
+}
 
 // StartDrain moves the server into its draining state: /healthz starts
 // failing with 503 (so load balancers stop routing here) and new

@@ -17,6 +17,7 @@ import (
 	"solarcore"
 	"solarcore/client"
 	"solarcore/internal/obs"
+	"solarcore/internal/sim"
 )
 
 // fastSpec is a cheap-but-real simulation spec for end-to-end tests.
@@ -550,6 +551,38 @@ func TestSweepFansOutAndReportsPerItem(t *testing.T) {
 	}
 	if got := calls.Load(); got > 2 {
 		t.Errorf("stub ran %d times for 2 distinct cells, want <= 2", got)
+	}
+}
+
+// TestSweepBuildsItsDayOnce runs a real sweep whose items share one
+// weather day: /metrics must show the process-wide day cache building
+// that day at most once and every other item reusing it.
+func TestSweepBuildsItsDayOnce(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxInflight: 2})
+	dayCounters := func() (builds, hits float64) {
+		t.Helper()
+		_, data := get(t, ts, "/metrics")
+		var snap obs.Snapshot
+		if err := json.Unmarshal(data, &snap); err != nil {
+			t.Fatalf("decode snapshot: %v", err)
+		}
+		return snap.Counters[sim.MetricDayBuilds], snap.Counters[sim.MetricDayHits]
+	}
+	builds0, hits0 := dayCounters()
+	resp, data := postJSON(t, ts, "/v1/sweep", `{"runs":[
+		{"site":"TN","day":424242,"step_min":8,"policy":"MPPT&IC"},
+		{"site":"TN","day":424242,"step_min":8,"policy":"MPPT&RR"},
+		{"site":"TN","day":424242,"step_min":8,"mix":"H1"},
+		{"site":"TN","day":424242,"step_min":8,"fixed_w":60}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d; body: %s", resp.StatusCode, data)
+	}
+	// The day may be resident from an earlier run of this test in the
+	// same process; then all four runs are hits.
+	builds, hits := dayCounters()
+	if db, dh := builds-builds0, hits-hits0; db > 1 || db+dh != 4 {
+		t.Errorf("day builds/hits rose by %g/%g over a 4-run one-day sweep, want at most one build",
+			db, dh)
 	}
 }
 

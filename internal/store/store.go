@@ -20,6 +20,9 @@
 //     deletes record files; recency survives restarts through a
 //     best-effort journal (missing or corrupt journal degrades to a
 //     cold-but-correct deterministic order, it never loses records);
+//   - bounded memory — only the hotEntries most recently used records
+//     are indexed in memory; older (cold) records stay on disk, are
+//     found there on a read, and are evicted first, in directory order;
 //   - observable — store_* metrics in an obs.Registry and one JSONL
 //     StoreEvent per warm start, quarantine and eviction.
 //
@@ -54,9 +57,9 @@ const (
 	MetricEvictions = "store_evictions_total"
 	// MetricPutErrors counts Put calls that failed to persist.
 	MetricPutErrors = "store_put_errors_total"
-	// MetricBytes gauges the on-disk record bytes currently indexed.
+	// MetricBytes gauges the on-disk bytes of all records, hot and cold.
 	MetricBytes = "store_bytes"
-	// MetricRecords gauges the record count currently indexed.
+	// MetricRecords gauges the record count, hot and cold.
 	MetricRecords = "store_records"
 	// MetricWarmStartMs gauges the boot scan's wall time in milliseconds
 	// (zero without a Config.Clock).
@@ -81,6 +84,17 @@ const journalMagic = "solarcore-store-journal v1"
 
 // DefaultMaxBytes is the byte budget when Config.MaxBytes is zero.
 const DefaultMaxBytes = 256 << 20
+
+// hotEntries bounds the in-memory index to the most recently used
+// records, so the index costs the same memory (about 170 B a record)
+// whatever number of records the byte budget lets the disk hold. It
+// matches serve's default result cache, which a warm start refills
+// from Recent.
+const hotEntries = 1024
+
+// coldBatch is how many directory entries one read of the cold-record
+// walk takes.
+const coldBatch = 64
 
 // Config tunes a Store. Dir is required.
 type Config struct {
@@ -109,9 +123,16 @@ type Store struct {
 	cfg Config
 	reg *obs.Registry
 
-	mu    sync.Mutex
-	idx   *lru.Cache[string, int64] // key → on-disk record size, recency-ordered
-	bytes int64                     // summed record sizes currently indexed
+	mu        sync.Mutex
+	idx       *lru.Cache[string, int64] // hot records: key → on-disk record size, recency-ordered
+	cold      int                       // records on disk outside idx
+	coldBytes int64                     // summed sizes of the cold records
+	bytes     int64                     // summed sizes of every record, hot and cold
+
+	// coldDir and coldBuf are the open walk over Config.Dir that finds
+	// cold records to evict; coldDir is nil between walks.
+	coldDir *os.File
+	coldBuf []os.DirEntry
 
 	// Warm-start summary, frozen by Open for callers to report.
 	warmRecords     int
@@ -131,7 +152,10 @@ type Rec struct {
 // will never be served), the recency journal is replayed when intact,
 // and the byte budget is enforced. The scan cost is one read of every
 // record file — warm-start time is published as store_warm_start_ms.
-func Open(cfg Config) (*Store, error) {
+func Open(cfg Config) (*Store, error) { return open(cfg, hotEntries) }
+
+// open is Open with the in-memory index bounded to hot records.
+func open(cfg Config, hot int) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("store: Config.Dir is required")
 	}
@@ -147,20 +171,20 @@ func Open(cfg Config) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(cfg.Dir, quarantineDir), 0o755); err != nil {
 		return nil, fmt.Errorf("store: create dir: %w", err)
 	}
-	s := &Store{
-		cfg: cfg,
-		reg: cfg.Registry,
-		// Entry count is unbounded by design (MaxBytes is the real limit);
-		// the huge capacity is never reached because eviction runs first.
-		idx: lru.New[string, int64](1 << 30),
-	}
+	s := &Store{cfg: cfg, reg: cfg.Registry}
+	// A record pushed out of the index stays on disk as a cold one. The
+	// hook runs under s.mu, which every index insert holds.
+	s.idx = lru.NewWithEvict(hot, func(_ string, size int64) {
+		s.cold++
+		s.coldBytes += size
+	})
 	start := s.cfg.Clock()
 	if err := s.scan(); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
 	s.evictOverBudgetLocked()
-	s.warmRecords = s.idx.Len()
+	s.warmRecords = s.idx.Len() + s.cold
 	if !start.IsZero() {
 		s.warmMs = s.cfg.Clock().Sub(start).Seconds() * 1000
 	}
@@ -265,12 +289,17 @@ func (s *Store) readJournal() []string {
 	return keys
 }
 
-// Close persists the recency journal (atomically, like every record).
-// It is best-effort durability: a crash that skips Close costs recency
-// order only.
+// Close persists the recency journal (atomically, like every record)
+// of the indexed records; cold ones reopen as the least recent. It is
+// best-effort durability: a crash that skips Close costs recency order
+// only.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	keys := s.idx.Keys() // most → least recent
+	if s.coldDir != nil {
+		_ = s.coldDir.Close() // a read-only directory walk
+		s.coldDir, s.coldBuf = nil, nil
+	}
 	s.mu.Unlock()
 	var b strings.Builder
 	b.WriteString(journalMagic)
@@ -291,23 +320,30 @@ func (s *Store) Close() error {
 }
 
 // Get returns the verified payload stored under key and promotes its
-// recency. A record that fails verification is quarantined and reported
-// as a miss — corrupt bytes are never returned.
+// recency; a cold record is read from disk and indexed again. A record
+// that fails verification is quarantined and reported as a miss —
+// corrupt bytes are never returned.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	size, ok := s.idx.Get(key)
-	if !ok {
+	size, hot := s.idx.Get(key)
+	if !hot && !validKey(key) {
 		return s.missLocked()
 	}
 	raw, err := os.ReadFile(s.recordPath(key))
 	if err != nil {
-		// The file vanished underneath the index (operator cleanup);
-		// drop the entry and recompute.
-		s.idx.Remove(key)
-		s.bytes -= size
-		s.setGaugesLocked()
+		if hot {
+			// The file vanished underneath the index (operator cleanup);
+			// drop the entry and recompute.
+			s.idx.Remove(key)
+			s.bytes -= size
+			s.setGaugesLocked()
+		}
 		return s.missLocked()
+	}
+	if !hot {
+		size = int64(len(raw))
+		s.promoteLocked(key, size)
 	}
 	payload, err := DecodeRecord(raw)
 	if err != nil {
@@ -336,6 +372,10 @@ func (s *Store) Put(key string, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.idx.Get(key); ok {
+		return nil
+	}
+	if info, err := os.Stat(s.recordPath(key)); err == nil {
+		s.promoteLocked(key, info.Size()) // a cold record of the same bytes
 		return nil
 	}
 	rec := EncodeRecord(payload)
@@ -381,19 +421,81 @@ func (s *Store) writeRecordLocked(key string, rec []byte) error {
 	return nil
 }
 
-// evictOverBudgetLocked deletes least-recently-used record files until
-// the byte budget holds, always keeping the newest record.
+// promoteLocked indexes a cold record as the most recently used one.
+func (s *Store) promoteLocked(key string, size int64) {
+	s.cold--
+	s.coldBytes -= size
+	s.idx.Put(key, size)
+}
+
+// evictOverBudgetLocked deletes record files until the byte budget
+// holds, always keeping the newest record: cold records first, in
+// directory order, then the index's least recently used.
 func (s *Store) evictOverBudgetLocked() {
-	for s.bytes > s.cfg.MaxBytes && s.idx.Len() > 1 {
+	for s.bytes > s.cfg.MaxBytes && s.idx.Len()+s.cold > 1 {
+		if s.cold > 0 {
+			if key, size, ok := s.nextColdLocked(); ok {
+				s.evictLocked(key, size)
+				s.cold--
+				s.coldBytes -= size
+			} else {
+				// A whole walk found none: they were removed under the
+				// store, so the accounting forgets them.
+				s.bytes -= s.coldBytes
+				s.cold, s.coldBytes = 0, 0
+			}
+			continue
+		}
 		key, size, ok := s.idx.Oldest()
 		if !ok {
 			return
 		}
-		_ = os.Remove(s.recordPath(key))
 		s.idx.Remove(key)
-		s.bytes -= size
-		s.reg.Add(MetricEvictions, 1)
-		s.event(obs.StoreEvent{Op: obs.StoreOpEvict, Key: key, Bytes: s.bytes})
+		s.evictLocked(key, size)
+	}
+}
+
+// evictLocked deletes one record file and accounts for it.
+func (s *Store) evictLocked(key string, size int64) {
+	_ = os.Remove(s.recordPath(key))
+	s.bytes -= size
+	s.reg.Add(MetricEvictions, 1)
+	s.event(obs.StoreEvent{Op: obs.StoreOpEvict, Key: key, Bytes: s.bytes})
+}
+
+// nextColdLocked returns the next record file outside the index,
+// continuing the directory walk a batch of entries at a time. ok is
+// false when a walk started by this call reaches the end without one.
+func (s *Store) nextColdLocked() (key string, size int64, ok bool) {
+	restarted := false
+	for {
+		for len(s.coldBuf) > 0 {
+			e := s.coldBuf[0]
+			s.coldBuf = s.coldBuf[1:]
+			key, isRec := strings.CutSuffix(e.Name(), recordSuffix)
+			if !isRec || e.IsDir() || !validKey(key) || s.idx.Contains(key) {
+				continue
+			}
+			if info, err := e.Info(); err == nil {
+				return key, info.Size(), true
+			}
+		}
+		if s.coldDir == nil {
+			if restarted {
+				return "", 0, false
+			}
+			d, err := os.Open(s.cfg.Dir)
+			if err != nil {
+				return "", 0, false
+			}
+			s.coldDir, restarted = d, true
+		}
+		var err error
+		if s.coldBuf, err = s.coldDir.ReadDir(coldBatch); err != nil {
+			// io.EOF ends the walk; any other failure ends it too.
+			_ = s.coldDir.Close()
+			s.coldDir = nil
+		}
 	}
 }
 
@@ -420,7 +522,8 @@ func (s *Store) quarantineLocked(key string, size int64, cause error) {
 
 // Recent returns up to n of the most recently used records, most recent
 // first, with verified payloads — the warm-start feed for an in-memory
-// LRU front. It does not promote recency and counts no hits or misses;
+// LRU front. Only indexed records qualify, so it returns at most
+// hotEntries. It does not promote recency and counts no hits or misses;
 // a record that fails verification here is quarantined and skipped.
 func (s *Store) Recent(n int) []Rec {
 	s.mu.Lock()
@@ -447,14 +550,14 @@ func (s *Store) Recent(n int) []Rec {
 	return out
 }
 
-// Len returns the indexed record count.
+// Len returns the record count, hot and cold.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.idx.Len()
+	return s.idx.Len() + s.cold
 }
 
-// Bytes returns the summed on-disk size of indexed records.
+// Bytes returns the summed on-disk size of the records.
 func (s *Store) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -472,11 +575,11 @@ func (s *Store) WarmStart() (records, quarantined int, ms float64) {
 // Dir returns the record directory.
 func (s *Store) Dir() string { return s.cfg.Dir }
 
-// setGaugesLocked mirrors the index into the two gauges (single Set
-// site per name).
+// setGaugesLocked mirrors the record count and bytes into the two
+// gauges (single Set site per name).
 func (s *Store) setGaugesLocked() {
 	s.reg.Set(MetricBytes, float64(s.bytes))
-	s.reg.Set(MetricRecords, float64(s.idx.Len()))
+	s.reg.Set(MetricRecords, float64(s.idx.Len()+s.cold))
 }
 
 // event emits one JSONL store event when a sink is configured.

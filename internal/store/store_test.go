@@ -432,3 +432,101 @@ func TestConcurrentPutGet(t *testing.T) {
 		t.Errorf("Len = %d, want at most 16 distinct keys", s.Len())
 	}
 }
+
+// TestColdRecordsStayReadable bounds the index to two records and puts
+// five: the three pushed out stay on disk as cold records, count in Len
+// and Bytes, and a Get or a repeated Put of one finds it on disk and
+// indexes it again without writing it twice.
+func TestColdRecordsStayReadable(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	s, err := open(Config{Dir: dir, Registry: reg}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("c"), 50)
+	recSize := int64(recordHeaderLen + len(payload))
+	for i := 0; i < 5; i++ {
+		if err := s.Put(fmt.Sprintf("key%d", i), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.idx.Len() != 2 || s.Len() != 5 || s.Bytes() != 5*recSize {
+		t.Fatalf("indexed/Len/Bytes = %d/%d/%d, want 2/5/%d", s.idx.Len(), s.Len(), s.Bytes(), 5*recSize)
+	}
+	if got, ok := s.Get("key0"); !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("Get(cold key0) = %q, %t; want the stored payload", got, ok)
+	}
+	if err := s.Put("key1", payload); err != nil {
+		t.Fatal(err)
+	}
+	if keys := s.idx.Keys(); fmt.Sprint(keys) != "[key1 key0]" {
+		t.Errorf("index after reading key0 and re-putting key1 = %v, want [key1 key0]", keys)
+	}
+	if s.Len() != 5 || s.Bytes() != 5*recSize {
+		t.Errorf("Len/Bytes after promotions = %d/%d, want 5/%d", s.Len(), s.Bytes(), 5*recSize)
+	}
+	if snap := reg.Snapshot(); snap.Gauges[MetricRecords] != 5 || snap.Counters[MetricHits] != 1 {
+		t.Errorf("%s gauge = %v, %s = %v; want 5 and 1", MetricRecords, snap.Gauges[MetricRecords],
+			MetricHits, snap.Counters[MetricHits])
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := open(Config{Dir: dir}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Len() != 5 {
+		t.Errorf("Len after reopen = %d, want all 5 records", s2.Len())
+	}
+	// The journal keeps the two hot records the most recent.
+	if keys := s2.idx.Keys(); fmt.Sprint(keys) != "[key1 key0]" {
+		t.Errorf("index after reopen = %v, want [key1 key0]", keys)
+	}
+}
+
+// TestByteBudgetEvictsColdRecordsFirst checks eviction takes cold
+// records before any indexed one, and falls back to the index's least
+// recently used when the cold ones were removed under the store.
+func TestByteBudgetEvictsColdRecordsFirst(t *testing.T) {
+	dir := t.TempDir()
+	payload := bytes.Repeat([]byte("e"), 100)
+	recSize := int64(recordHeaderLen + len(payload))
+	s, err := open(Config{Dir: dir, MaxBytes: 4 * recSize}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := s.Put(fmt.Sprintf("key%d", i), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Len() != 4 || s.Bytes() != 4*recSize {
+		t.Fatalf("Len/Bytes = %d/%d under a 4-record budget, want 4/%d", s.Len(), s.Bytes(), 4*recSize)
+	}
+	for _, key := range []string{"key3", "key4"} {
+		if _, err := os.Stat(filepath.Join(dir, key+recordSuffix)); err != nil {
+			t.Errorf("indexed %s was evicted before the cold records: %v", key, err)
+		}
+	}
+	// Remove the remaining cold records behind the store's back: the
+	// next eviction walks the directory, finds none and takes the
+	// index's least recently used.
+	for i := 0; i < 3; i++ {
+		_ = os.Remove(filepath.Join(dir, fmt.Sprintf("key%d", i)+recordSuffix))
+	}
+	if err := s.Put("key5", bytes.Repeat([]byte("e"), 300)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "key3"+recordSuffix)); !os.IsNotExist(err) {
+		t.Errorf("key3, pushed out of the index by key5, survived: %v", err)
+	}
+	if s.cold != 0 || s.Len() != 2 || s.Bytes() != 2*recSize+200 {
+		t.Errorf("cold/Len/Bytes = %d/%d/%d after the drifted walk, want 0/2/%d",
+			s.cold, s.Len(), s.Bytes(), 2*recSize+200)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -14,7 +14,6 @@ import (
 	"solarcore/internal/atmos"
 	"solarcore/internal/fault"
 	"solarcore/internal/obs"
-	"solarcore/internal/pv"
 	"solarcore/internal/sched"
 	"solarcore/internal/sim"
 	"solarcore/internal/workload"
@@ -400,10 +399,27 @@ func (s RunSpec) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Runner materializes the spec: it generates the weather day, binds the
-// PV array, resolves the mix and builds a Runner in the spec's mode, with
-// opts (observers, a context) applied on top. It resolves the spec in
-// the same pass as Validate, so an invalid spec fails here with the same
+// specDayEntries bounds the process-wide day cache behind RunSpec.Runner.
+// A sweep batch keeps its one day resident while its runs execute, so the
+// bound covers several batches in flight at once; traffic whose days are
+// never reused holds at most this many (about 37 KB each) alive.
+const specDayEntries = 8
+
+// specDays is the day cache every RunSpec.Runner call shares, so the
+// runs of one process that name one (site, season, day, panels) key —
+// a sweep batch on solard, a solargate backend's traffic, a library
+// loop — build that day once.
+var specDays = sim.NewDayCache(specDayEntries)
+
+// DayCacheMetrics snapshots the build, hit and eviction counters of the
+// process-wide day cache that RunSpec.Runner draws its days from.
+func DayCacheMetrics() MetricsSnapshot { return specDays.Metrics() }
+
+// Runner materializes the spec: it takes the weather day bound to the PV
+// array from the process-wide day cache (generating it on a miss),
+// resolves the mix and builds a Runner in the spec's mode, with opts
+// (observers, a context) applied on top. It resolves the spec in the
+// same pass as Validate, so an invalid spec fails here with the same
 // error.
 func (s RunSpec) Runner(opts ...RunnerOption) (*Runner, error) {
 	r, err := s.resolve()
@@ -411,8 +427,7 @@ func (s RunSpec) Runner(opts ...RunnerOption) (*Runner, error) {
 		return nil, err
 	}
 	n := r.n
-	trace := atmos.Generate(r.site, r.season, atmos.GenConfig{Day: n.Day})
-	day, err := sim.NewSolarDay(trace, pv.BP3180N(), 1, n.Panels)
+	day, err := specDays.Get(r.site, r.season, n.Day, n.Panels)
 	if err != nil {
 		return nil, fmt.Errorf("solarcore: spec day build: %w", err)
 	}

@@ -75,8 +75,8 @@ go test -run '^$' -fuzz 'FuzzStoreRecord' -fuzztime 5s ./internal/store
 echo '== chaos harness (silent-corruption + partition-hedging + mid-stream-partition invariants)'
 go test -race -run 'TestNeverSilentCorruption|TestPartitionHedgingBoundsTailLatency|TestMidStreamPartitionResumesGapless' ./internal/chaos
 
-echo '== observer + disarmed-fault + stream overhead bench (smoke)'
-go test -run '^$' -bench 'BenchmarkRunMPPT(NopObserver|DisarmedFaults|StreamPublisher|StreamSubscriber)?$' -benchtime=1x .
+echo '== observer + disarmed-fault + stream overhead + spec-run bench (smoke)'
+go test -run '^$' -bench 'BenchmarkRunMPPT(NopObserver|DisarmedFaults|StreamPublisher|StreamSubscriber)?$|BenchmarkSpecRun(SweepBatch)?$' -benchtime=1x .
 
 echo '== solard serving smoke (healthz, /v1/run, solarload, graceful drain)'
 bindir="$(mktemp -d)"
